@@ -52,6 +52,13 @@ _FEAS = 1e-12  # feasibility slack for indicator values, so value(prox(...)) is 
 INF = float("inf")
 
 
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy of a, so caches derived from it stay valid."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 def _feas_tol(bound):
     """Per-coordinate slack scaled to the bound's magnitude (0 slack for inf bounds)."""
     b = np.abs(np.asarray(bound, dtype=float))
@@ -200,12 +207,13 @@ def _as_bounds(lo, hi):
         raise ValueError("need lo <= hi per coordinate")
     if np.all(np.isinf(lo_a) & (lo_a > 0)) or np.all(np.isinf(hi_a) & (hi_a < 0)):
         raise ValueError("empty box")
-    return lo_a, hi_a
+    return _read_only(lo_a), _read_only(hi_a)
 
 
 class BoxIndicator(ProxFunctional):
     """Indicator of the box [lo, hi]; bounds per coordinate, one-sided
-    infinities allowed.  prox is the metric projection (clip)."""
+    infinities allowed.  prox is the metric projection (clip).  The bounds
+    are read-only copies, so the slackened bounds are computed once."""
 
     kind = "BoxIndicator"
 
@@ -215,11 +223,11 @@ class BoxIndicator(ProxFunctional):
             self.expected_dim = self.lo.size
         elif self.hi.ndim == 1:
             self.expected_dim = self.hi.size
+        self._lo_slack = self.lo - _feas_tol(self.lo)
+        self._hi_slack = self.hi + _feas_tol(self.hi)
 
     def _value(self, x):
-        ok = np.all(x >= self.lo - _feas_tol(self.lo)) and np.all(
-            x <= self.hi + _feas_tol(self.hi)
-        )
+        ok = np.all(x >= self._lo_slack) and np.all(x <= self._hi_slack)
         return 0.0 if ok else INF
 
     def _prox(self, gamma, x):
@@ -249,19 +257,13 @@ class BoxSupport(ProxFunctional):
             self.expected_dim = self.hi.size
 
     def _value(self, x):
-        lo = np.broadcast_to(self.lo, x.shape)
-        hi = np.broadcast_to(self.hi, x.shape)
-        total = 0.0
-        for xi, l, h in zip(x, lo, hi):
-            if xi > 0.0:
-                if np.isinf(h):
-                    return INF
-                total += h * xi
-            elif xi < 0.0:
-                if np.isinf(l):
-                    return INF
-                total += l * xi
-        return float(total)
+        if np.any(((x > 0.0) & np.isinf(self.hi)) | ((x < 0.0) & np.isinf(self.lo))):
+            return INF
+        # choosing the bound before multiplying never forms inf * 0; cumsum
+        # adds left to right (np.sum is pairwise), and + 0.0 turns an
+        # all-zero -0.0 into 0.0, so this matches a scalar loop bit for bit
+        terms = np.where(x > 0.0, self.hi, np.where(x < 0.0, self.lo, 0.0)) * x
+        return float(np.cumsum(terms)[-1] + 0.0)
 
     def _prox(self, gamma, x):
         # support functions inherit their prox from the box projection:
@@ -341,9 +343,11 @@ class L2BallIndicator(ProxFunctional):
 class Quadratic(ProxFunctional):
     """F(x) = 1/2 x'Qx + c'x + d with Q symmetric positive semidefinite.
 
-    prox solves the SPD system (I + gamma*Q) z = x - gamma*c directly; the
-    factorization is cached per gamma since solvers hold gamma fixed.
-    conjugate needs Q nonsingular.
+    Q and c are read-only copies of the inputs, which makes both caches
+    sound.  prox applies the explicit inverse of I + gamma*Q to
+    x - gamma*c; the inverse is cached for the last gamma, since solvers
+    hold gamma fixed.  conjugate needs Q nonsingular; it inverts Q on the
+    first call and returns the same Quadratic on every later call.
     """
 
     kind = "Quadratic"
@@ -354,13 +358,14 @@ class Quadratic(ProxFunctional):
             raise DimensionMismatchError("Q must be square")
         if not np.allclose(Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max())):
             raise ValueError("Q must be symmetric")
-        self.Q = 0.5 * (Q + Q.T)
-        self.c = as_vector(c)
+        self.Q = _read_only(0.5 * (Q + Q.T))
+        self.c = _read_only(as_vector(c))
         if self.c.size != Q.shape[0]:
             raise DimensionMismatchError("c does not match Q")
         self.d = float(d)
         self.expected_dim = self.c.size
         self._prox_cache: tuple[float, np.ndarray] | None = None
+        self._conjugate: Quadratic | None = None
 
     def _value(self, x):
         return 0.5 * float(x @ (self.Q @ x)) + float(self.c @ x) + self.d
@@ -372,10 +377,12 @@ class Quadratic(ProxFunctional):
         return self._prox_cache[1] @ (x - gamma * self.c)
 
     def conjugate(self):
-        Qinv = np.linalg.inv(self.Q)
-        Qinv = 0.5 * (Qinv + Qinv.T)
-        ic = Qinv @ self.c
-        return Quadratic(Qinv, -ic, 0.5 * float(self.c @ ic) - self.d)
+        if self._conjugate is None:
+            Qinv = np.linalg.inv(self.Q)
+            Qinv = 0.5 * (Qinv + Qinv.T)
+            ic = Qinv @ self.c
+            self._conjugate = Quadratic(Qinv, -ic, 0.5 * float(self.c @ ic) - self.d)
+        return self._conjugate
 
     def gradient(self, x) -> np.ndarray:
         return self.Q @ as_vector(x) + self.c
@@ -440,7 +447,7 @@ class Shifted(ProxFunctional):
     kind = "Shifted"
 
     def __init__(self, x0, inner_f: ProxFunctional):
-        self.x0 = as_vector(x0)
+        self.x0 = _read_only(as_vector(x0))
         self.inner = inner_f
         if inner_f.expected_dim is not None and inner_f.expected_dim != self.x0.size:
             raise DimensionMismatchError("shift does not match inner dimension")
@@ -473,7 +480,7 @@ class Tilted(ProxFunctional):
     kind = "Tilted"
 
     def __init__(self, inner_f: ProxFunctional, v):
-        self.v = as_vector(v)
+        self.v = _read_only(as_vector(v))
         self.inner = inner_f
         if inner_f.expected_dim is not None and inner_f.expected_dim != self.v.size:
             raise DimensionMismatchError("tilt does not match inner dimension")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -158,6 +159,20 @@ def test_biconjugation_is_structural_identity():
         assert g.structurally_equal(f), f"{name}: {g!r} != {f!r}"
 
 
+def test_quadratic_conjugate_is_memoized_closed_form():
+    rng = np.random.default_rng(3)
+    b0 = rng.standard_normal((6, 6))
+    qm = b0 @ b0.T + np.eye(6)
+    c = rng.standard_normal(6)
+    q = Quadratic(qm, c, 0.3)
+    qc = q.conjugate()
+    assert q.conjugate() is qc
+    qinv = np.linalg.inv(q.Q)
+    qinv = 0.5 * (qinv + qinv.T)
+    ic = qinv @ q.c
+    assert qc.structurally_equal(Quadratic(qinv, -ic, 0.5 * float(q.c @ ic) - 0.3))
+
+
 def test_quadratic_biconjugation_by_value():
     rng = np.random.default_rng(1)
     b0 = rng.standard_normal((4, 4))
@@ -175,6 +190,111 @@ def test_value_at_conjugate_of_box_handles_infinite_bounds():
     assert fs.value(np.array([1.0, 0.0])) == np.inf
     assert fs.value(np.array([-3.0, 1.0])) == pytest.approx(3.0 + 2.0)
     assert fs.value(np.array([0.0, -1.0])) == np.inf
+
+
+def _box_support_loop(x, lo, hi):
+    """Scalar left-to-right reference for the support function of [lo, hi]."""
+    lo = np.broadcast_to(lo, x.shape)
+    hi = np.broadcast_to(hi, x.shape)
+    total = 0.0
+    for xi, l, h in zip(x, lo, hi):
+        if xi > 0.0:
+            if np.isinf(h):
+                return np.inf
+            total += h * xi
+        elif xi < 0.0:
+            if np.isinf(l):
+                return np.inf
+            total += l * xi
+    return float(total)
+
+
+def test_box_support_value_matches_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    n = 9
+    lo_vec = -rng.uniform(0.0, 3.0, n)
+    hi_vec = rng.uniform(0.0, 3.0, n)
+    lo_vec[[1, 4]] = [0.0, -0.0]
+    lo_inf = lo_vec.copy()
+    lo_inf[[0, 3]] = -np.inf
+    hi_inf = hi_vec.copy()
+    hi_inf[[2, 7]] = np.inf
+    boxes = [
+        (-1.5, 2.25),
+        (0.0, 0.0),
+        (lo_vec, hi_vec),
+        (lo_inf, hi_vec),
+        (lo_vec, hi_inf),
+        (lo_inf, hi_inf),
+        (-np.inf, hi_vec),
+        (lo_vec, np.inf),
+    ]
+    n_inf = n_finite = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in boxes:
+            bs = BoxSupport(lo, hi)
+            lo_b = np.broadcast_to(lo, (n,))
+            hi_b = np.broadcast_to(hi, (n,))
+            for trial in range(40):
+                x = rng.standard_normal(n)
+                x[rng.random(n) < 0.3] = 0.0
+                x[rng.random(n) < 0.2] = -0.0
+                if trial % 2:
+                    # keep clear of the infinite bounds half of the time
+                    x[np.isinf(hi_b)] = -np.abs(x[np.isinf(hi_b)])
+                    x[np.isinf(lo_b)] = np.abs(x[np.isinf(lo_b)])
+                if trial == 0:
+                    x[:] = -0.0
+                got = bs.value(x)
+                want = _box_support_loop(x, lo, hi)
+                same_bits = np.float64(got).tobytes() == np.float64(want).tobytes()
+                assert same_bits, (lo, hi, x, got, want)
+                pushes = np.any(
+                    ((x > 0.0) & np.isinf(hi_b)) | ((x < 0.0) & np.isinf(lo_b))
+                )
+                assert (got == np.inf) == bool(pushes)
+                n_inf += bool(pushes)
+                n_finite += not pushes
+    assert n_inf > 0 and n_finite > 0
+
+
+def test_catalog_entries_own_read_only_data():
+    rng = np.random.default_rng(13)
+    b0 = rng.standard_normal((5, 5))
+    q_in = b0 @ b0.T + np.eye(5)
+    c_in = rng.standard_normal(5)
+    lo_in = -rng.uniform(0.5, 1.5, 5)
+    hi_in = rng.uniform(0.5, 1.5, 5)
+    q = Quadratic(q_in, c_in, 0.25)
+    box = BoxIndicator(lo_in, hi_in)
+    support = BoxSupport(lo_in, hi_in)
+    q_ref = Quadratic(q_in.copy(), c_in.copy(), 0.25)
+    box_ref = BoxIndicator(lo_in.copy(), hi_in.copy())
+    support_ref = BoxSupport(lo_in.copy(), hi_in.copy())
+    x = rng.standard_normal(5)
+    feasible = 0.5 * (lo_in + hi_in)
+
+    q_in[:] = 0.0
+    c_in[:] = 7.0
+    lo_in[:] = 2.0
+    hi_in[:] = 3.0
+
+    assert q.value(x) == q_ref.value(x)
+    npt.assert_array_equal(q.prox(0.7, x), q_ref.prox(0.7, x))
+    assert q.conjugate().value(x) == q_ref.conjugate().value(x)
+    assert box.value(feasible) == 0.0
+    npt.assert_array_equal(box.prox(1.0, x), box_ref.prox(1.0, x))
+    assert support.value(x) == support_ref.value(x)
+
+    with pytest.raises(ValueError):
+        q.Q[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        q.c[0] = 1.0
+    with pytest.raises(ValueError):
+        box.lo[0] = 0.0
+    with pytest.raises(ValueError):
+        support.hi[0] = 0.0
 
 
 # --- Moreau identities ----------------------------------------------------------

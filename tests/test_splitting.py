@@ -14,7 +14,12 @@ from proxkit.functionals import (
     shift,
 )
 from proxkit.linalg import LinearOperator
-from proxkit.problems import gen_lasso, lasso_composite_smooth, oracle_lasso
+from proxkit.problems import (
+    gen_boxqp,
+    gen_lasso,
+    lasso_composite_smooth,
+    oracle_lasso,
+)
 from proxkit.splitting import (
     CompositeProblem,
     SmoothFn,
@@ -279,6 +284,24 @@ def test_primal_dual_solves_lasso_split():
     # gap column populated with finite values once the dual certificate kicks in
     assert np.isfinite(trace.gap[-1])
     assert trace.gap[-1] <= 1e-8
+
+
+def test_primal_dual_gap_matches_uncached_recomputation():
+    # the per-row gap reuses the memoized conjugate of g; it must equal the
+    # gap that freshly built, uncached functionals give at the returned pair
+    spec = gen_boxqp(30, seed=4)
+    prob = CompositeProblem(
+        f=BoxIndicator(spec.lo, spec.hi), g=Quadratic(spec.q, spec.c)
+    )
+    cfg = SolverConfig(tau=0.9, sigma=0.9, tol=1e-8, max_iter=20000)
+    x, y, trace = primal_dual(prob, np.zeros(spec.n), np.zeros(spec.n), cfg)
+    assert trace.converged
+    fresh = CompositeProblem(
+        f=BoxIndicator(spec.lo, spec.hi), g=Quadratic(spec.q, spec.c)
+    )
+    gap = duality_gap(fresh, x, y)
+    assert np.isfinite(gap)
+    assert np.float64(trace.gap[-1]).tobytes() == np.float64(gap).tobytes()
 
 
 def test_duality_gap_weak_duality_and_tightness():
