@@ -284,7 +284,15 @@ def _run_solver(spec, solver: str, args):
 
 def cmd_solve(args) -> int:
     spec, source = _load_spec(args)
-    x, trace = _run_solver(spec, args.solver, args)
+    # a diverging run overflows on its way out; the trace reports that instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, trace = _run_solver(spec, args.solver, args)
+    if trace.diverged:
+        print(
+            f"{args.solver} on {_kind_of(spec)} n={spec.n}: diverged at iteration "
+            f"{trace.n_iter + 1} (non-finite residual)"
+        )
+        return 3
     obj = spec.objective(x)
     kkt = problems.kkt_residual(spec, x)
     status = "converged" if trace.converged else "did not converge"
@@ -502,17 +510,18 @@ def cmd_bench(args) -> int:
         tmp, out = _stage_out_dir(args.out)
     ns = argparse.Namespace(**vars(args), gamma=None, tau=None, sigma=None)
     for solver in solvers:
-        x, trace = _run_solver(spec, solver, ns)
-        rows.append(
-            (
-                solver,
-                trace.n_iter,
-                "yes" if trace.converged else "NO",
-                spec.objective(x),
-                problems.kkt_residual(spec, x),
-                trace.ms[-1] if trace.ms else 0.0,
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, trace = _run_solver(spec, solver, ns)
+            rows.append(
+                (
+                    solver,
+                    trace.n_iter,
+                    "DIV" if trace.diverged else "yes" if trace.converged else "NO",
+                    spec.objective(x),
+                    problems.kkt_residual(spec, x),
+                    trace.ms[-1] if trace.ms else 0.0,
+                )
             )
-        )
         if tmp is not None:
             trace.write_csv(os.path.join(tmp, f"trace_{solver}.csv"))
     print(f"{'solver':8} {'iters':>6} {'conv':>5} {'objective':>20} {'optimality':>12} {'ms':>9}")

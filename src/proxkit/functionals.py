@@ -639,12 +639,13 @@ def prox_conjugate(F: ProxFunctional, gamma: float, x) -> np.ndarray:
     """prox of F* at parameter gamma, computed from F's own prox.
 
     Uses prox_{gamma F*}(x) = x - gamma * prox_{F/gamma}(x/gamma); never
-    consults conjugate(F), so it stays exact for every catalog kind.
+    consults conjugate(F), so it stays exact for every catalog kind.  x is
+    checked once, on entry.
     """
     if not (gamma > 0):
         raise ValueError("prox_conjugate: gamma must be positive")
-    x = as_vector(x)
-    return x - gamma * F.prox(1.0 / gamma, x / gamma)
+    x = F._check(x)
+    return x - gamma * F._prox(1.0 / gamma, x / gamma)
 
 
 def moreau_envelope(F: ProxFunctional, gamma: float, x) -> float:

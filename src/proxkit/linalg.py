@@ -51,7 +51,7 @@ def as_vector(x) -> np.ndarray:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {v.shape}")
     if v.size < 1:
         raise DimensionMismatchError("vectors must have dimension >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 

@@ -5,6 +5,16 @@ with a known gradient or prox-friendly through the functional catalog.  The
 solvers share one trace format so runs can be compared column by column, and
 every stopping rule is a fixed-point residual of the iteration map rather
 than an objective difference.
+
+Inputs are validated once, at solver entry: the start point is coerced and
+checked finite, each functional's dimension is checked against it, a smooth
+term's gradient at the start point must have the iterate's shape, and step
+sizes become floats.  The loops then run on raw arrays, calling the
+functionals' ``_prox``/``_value`` and the smooth term's own callables.
+Finiteness costs one test per step: a non-finite residual, which any inf or
+nan entry in the old or new iterate produces, ends the run with
+``trace.diverged`` set; the solver returns the last finite iterate and does
+not record the non-finite row.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import ProxFunctional, prox_conjugate
-from .linalg import LinearOperator, as_vector, norm, op_norm
+from .linalg import DimensionMismatchError, LinearOperator, as_vector, norm, op_norm
 
 __all__ = [
     "SmoothFn",
@@ -96,7 +106,8 @@ class IterTrace:
     residual is the solver's fixed-point residual norm measured on arrival
     at x^k (inf at row 0), gap is a duality gap when the solver produces a
     certificate and NaN otherwise, step is the step size used to reach the
-    row, ms is wall time since the solve started.
+    row, ms is wall time since the solve started.  diverged is set when the
+    residual came out non-finite; that row is not recorded.
     """
 
     iters: list[int] = field(default_factory=list)
@@ -107,10 +118,9 @@ class IterTrace:
     ms: list[float] = field(default_factory=list)
     fejer: list[float] | None = None
     taus: list[float] | None = None
-    gammas: list[float] | None = None
-    stages: list[dict] | None = None
     iterates: list[np.ndarray] | None = None
     converged: bool = False
+    diverged: bool = False
 
     def append(self, k, objective, residual, gap, step, ms):
         self.iters.append(int(k))
@@ -168,17 +178,29 @@ class CompositeProblem:
 
     def objective(self, x) -> float:
         x = as_vector(x)
+        self._check_point(x)
+        return self._objective(x)
+
+    def _check_point(self, x: np.ndarray):
+        """Raise DimensionMismatchError unless f, and g after a, accept x."""
+        if self.f is not None:
+            self.f._check(x)
+        if self.g is not None:
+            self.g._check(x if self.a is None else self.a.apply(x))
+
+    def _objective(self, x: np.ndarray) -> float:
+        """The objective at a vector that has already passed the checks."""
         total = 0.0
         if self.smooth is not None:
-            total += self.smooth.value(x)
+            total += float(self.smooth._value(x))
         if self.f is not None:
-            v = self.f.value(x)
+            v = self.f._value(x)
             if v == math.inf:
                 return math.inf
             total += v
         if self.g is not None:
             z = self.a.apply(x) if self.a is not None else x
-            v = self.g.value(z)
+            v = self.g._value(z)
             if v == math.inf:
                 return math.inf
             total += v
@@ -190,6 +212,19 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
+def _start(problem: CompositeProblem, x0) -> np.ndarray:
+    """A validated copy of x0 that every part of problem accepts."""
+    x = as_vector(x0).copy()
+    problem._check_point(x)
+    if problem.smooth is not None:
+        grad = problem.smooth.gradient(x)
+        if grad.shape != x.shape:
+            raise DimensionMismatchError(
+                f"gradient has shape {grad.shape}, iterate has shape {x.shape}"
+            )
+    return x
+
+
 def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
     """Iterate x <- prox_{gamma g}(x) until the scaled residual passes tol.
 
@@ -197,8 +232,8 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
     to it at every iterate, which for a minimizer must be nonincreasing.
     """
     _require(cfg.gamma is not None, "proximal_point: cfg.gamma is required")
-    gamma = cfg.gamma
-    x = as_vector(x0).copy()
+    gamma = float(cfg.gamma)
+    x = g._check(x0).copy()
     ref = None if x_ref is None else as_vector(x_ref)
     trace = IterTrace()
     if ref is not None:
@@ -209,7 +244,7 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
 
     def record(k, xk, res):
         trace.append(
-            k, g.value(xk), res, math.nan, gamma, (time.perf_counter() - t0) * 1e3
+            k, g._value(xk), res, math.nan, gamma, (time.perf_counter() - t0) * 1e3
         )
         if ref is not None:
             trace.fejer.append(norm(xk - ref))
@@ -218,8 +253,11 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
 
     record(0, x, math.inf)
     for k in range(1, cfg.max_iter + 1):
-        x_next = g.prox(gamma, x)
+        x_next = g._prox(gamma, x)
         res = norm(x - x_next) / gamma
+        if not math.isfinite(res):
+            trace.diverged = True
+            break
         x = x_next
         record(k, x, res)
         if res <= cfg.tol:
@@ -232,10 +270,10 @@ def _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k):
     """Backtrack gamma until the quadratic upper bound holds at the new point."""
     slack = 1e-12 * (1.0 + abs(fx))
     while True:
-        x_next = g.prox(gamma, x - gamma * grad)
+        x_next = g._prox(gamma, x - gamma * grad)
         d = x_next - x
         bound = fx + float(grad @ d) + float(d @ d) / (2.0 * gamma) + slack
-        if smooth.value(x_next) <= bound:
+        if float(smooth._value(x_next)) <= bound:
             return x_next, gamma
         gamma *= 0.5
         if gamma < 1e-18 * gamma0:
@@ -269,7 +307,8 @@ def prox_gradient(
             "prox_gradient: need cfg.gamma or smooth.lipschitz",
         )
         gamma0 = 1.0 / smooth.lipschitz
-    x = as_vector(x0).copy()
+    gamma0 = float(gamma0)
+    x = _start(problem, x0)
     ref = None if x_ref is None else as_vector(x_ref)
     trace = IterTrace()
     if ref is not None:
@@ -281,7 +320,7 @@ def prox_gradient(
     def record(k, xk, res, step):
         trace.append(
             k,
-            problem.objective(xk),
+            problem._objective(xk),
             res,
             math.nan,
             step,
@@ -295,14 +334,17 @@ def prox_gradient(
     record(0, x, math.inf, gamma0)
     gamma = gamma0
     for k in range(1, cfg.max_iter + 1):
-        grad = smooth.gradient(x)
+        grad = smooth._gradient(x)
         if line_search:
             gamma = min(2.0 * gamma, gamma0)
-            fx = smooth.value(x)
+            fx = float(smooth._value(x))
             x_next, gamma = _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k)
         else:
-            x_next = g.prox(gamma, x - gamma * grad)
+            x_next = g._prox(gamma, x - gamma * grad)
         res = norm(x - x_next) / gamma
+        if not math.isfinite(res):
+            trace.diverged = True
+            break
         x = x_next
         record(k, x, res, gamma)
         if res <= cfg.tol:
@@ -327,7 +369,8 @@ def fista(problem: CompositeProblem, x0, cfg: SolverConfig):
             smooth.lipschitz is not None, "fista: need cfg.gamma or smooth.lipschitz"
         )
         gamma = 1.0 / smooth.lipschitz
-    x = as_vector(x0).copy()
+    gamma = float(gamma)
+    x = _start(problem, x0)
     xbar = x.copy()
     tau = 1.0
     trace = IterTrace()
@@ -339,7 +382,7 @@ def fista(problem: CompositeProblem, x0, cfg: SolverConfig):
     def record(k, xk, res):
         trace.append(
             k,
-            problem.objective(xk),
+            problem._objective(xk),
             res,
             math.nan,
             gamma,
@@ -350,10 +393,13 @@ def fista(problem: CompositeProblem, x0, cfg: SolverConfig):
 
     record(0, x, math.inf)
     for k in range(1, cfg.max_iter + 1):
-        x_next = g.prox(gamma, xbar - gamma * smooth.gradient(xbar))
+        x_next = g._prox(gamma, xbar - gamma * smooth._gradient(xbar))
+        res = norm(x - x_next) / gamma
+        if not math.isfinite(res):
+            trace.diverged = True
+            break
         tau_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
         xbar = x_next + ((1.0 - tau) / tau_next) * (x - x_next)
-        res = norm(x - x_next) / gamma
         x, tau = x_next, tau_next
         trace.taus.append(tau)
         record(k, x, res)
@@ -374,19 +420,19 @@ def douglas_rachford(problem: CompositeProblem, z0, cfg: SolverConfig):
     _require(problem.g is not None, "douglas_rachford: problem.g is required")
     _require(problem.a is None, "douglas_rachford: coupling operator not supported")
     _require(cfg.gamma is not None, "douglas_rachford: cfg.gamma is required")
-    f, g, gamma = problem.f, problem.g, cfg.gamma
-    z = as_vector(z0).copy()
+    f, g, gamma = problem.f, problem.g, float(cfg.gamma)
+    z = _start(problem, z0)
     trace = IterTrace()
     if cfg.store_iterates:
         trace.iterates = []
     t0 = time.perf_counter()
-    x = f.prox(gamma, z)
+    x = f._prox(gamma, z)
     y = x
 
     def record(k, yk, res):
         trace.append(
             k,
-            problem.objective(yk),
+            problem._objective(yk),
             res,
             math.nan,
             gamma,
@@ -397,10 +443,14 @@ def douglas_rachford(problem: CompositeProblem, z0, cfg: SolverConfig):
 
     record(0, x, math.inf)
     for k in range(1, cfg.max_iter + 1):
-        x = f.prox(gamma, z)
-        y = g.prox(gamma, 2.0 * x - z)
+        x = f._prox(gamma, z)
+        y_next = g._prox(gamma, 2.0 * x - z)
+        res = norm(y_next - x)
+        if not math.isfinite(res):
+            trace.diverged = True
+            break
+        y = y_next
         z = z + y - x
-        res = norm(y - x)
         record(k, y, res)
         if res <= cfg.tol:
             trace.converged = True
@@ -423,7 +473,7 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
     _require(cfg.tau is not None, "primal_dual: cfg.tau is required")
     _require(cfg.sigma is not None, "primal_dual: cfg.sigma is required")
     f, g, a = problem.f, problem.g, problem.a
-    tau, sigma = cfg.tau, cfg.sigma
+    tau, sigma = float(cfg.tau), float(cfg.sigma)
     anorm = 1.0 if a is None else op_norm(a)
     product = sigma * tau * anorm * anorm
     if not product < 1.0:
@@ -431,8 +481,13 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
             f"primal_dual: step sizes violate sigma*tau*||A||^2 < 1 "
             f"(computed product {product:.6g})"
         )
-    x = as_vector(x0).copy()
+    x = _start(problem, x0)
     y = as_vector(y0).copy()
+    aty = y if a is None else a.adjoint_apply(y)
+    if aty.shape != x.shape:
+        raise DimensionMismatchError(
+            f"primal_dual: y0 of shape {y.shape} does not pair with x0 of shape {x.shape}"
+        )
     trace = IterTrace()
     if cfg.store_iterates:
         trace.iterates = []
@@ -441,7 +496,7 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
     def record(k, xk, yk, res):
         trace.append(
             k,
-            problem.objective(xk),
+            problem._objective(xk),
             res,
             duality_gap(problem, xk, yk),
             tau,
@@ -453,11 +508,14 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
     record(0, x, y, math.inf)
     for k in range(1, cfg.max_iter + 1):
         aty = y if a is None else a.adjoint_apply(y)
-        x_next = f.prox(tau, x - tau * aty)
+        x_next = f._prox(tau, x - tau * aty)
         xbar = 2.0 * x_next - x
         axbar = xbar if a is None else a.apply(xbar)
         y_next = prox_conjugate(g, sigma, y + sigma * axbar)
         res = norm(x - x_next) / tau + norm(y - y_next) / sigma
+        if not math.isfinite(res):
+            trace.diverged = True
+            break
         x, y = x_next, y_next
         record(k, x, y, res)
         if res <= cfg.tol:

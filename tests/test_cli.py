@@ -130,6 +130,21 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert "did not converge" in out
 
 
+def test_solve_divergence_exit_code(capsys):
+    code, out, err = run_main(
+        [
+            "solve", "--solver", "pg", "--gamma", "100", "--problem", "lasso",
+            "--n", "20", "--seed", "0",
+        ],
+        capsys,
+    )
+    assert code == 3
+    lines = (out + err).splitlines()
+    assert len(lines) == 1
+    assert "diverged at iteration" in lines[0]
+    assert "Traceback" not in out + err
+
+
 def test_solve_rejects_unsupported_pairings(capsys):
     code, _, err = run_main(
         ["solve", "--solver", "dr", "--problem", "huber", "--n", "4"], capsys

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -33,6 +35,16 @@ def test_as_vector_rejects_bad_input():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError):
         as_vector([np.inf, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_vector_finiteness_check(bad):
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        as_vector([0.0, bad, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = as_vector([1e308, -1e308])
+    npt.assert_array_equal(v, [1e308, -1e308])
 
 
 def test_inner_and_norm():

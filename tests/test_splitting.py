@@ -13,11 +13,13 @@ from proxkit.functionals import (
     scale,
     shift,
 )
-from proxkit.linalg import LinearOperator
+from proxkit.linalg import DimensionMismatchError, LinearOperator, op_norm
 from proxkit.problems import (
     gen_boxqp,
     gen_lasso,
     lasso_composite_smooth,
+    lasso_composite_split,
+    lasso_dr_pair,
     oracle_lasso,
 )
 from proxkit.splitting import (
@@ -346,3 +348,145 @@ def test_composite_objective_with_operator():
     x = np.array([1.0, 1.0])
     want = 0.5 * float(x @ x) + 0.5 * float((a.matrix @ x - 1.0) @ (a.matrix @ x - 1.0))
     assert prob.objective(x) == pytest.approx(want)
+
+
+# --- validation at entry, raw-array loops, divergence --------------------------------
+
+
+def _run_on_lasso(solver, spec):
+    """(problem, x, trace) for one solver on the lasso spec, iterates stored."""
+    x0 = np.zeros(spec.n)
+    if solver in ("pg", "pg-ls", "fista"):
+        prob = lasso_composite_smooth(spec)
+        gamma = 1.0 / prob.smooth.lipschitz
+        cfg = SolverConfig(gamma=gamma, tol=1e-10, max_iter=3000, store_iterates=True)
+        if solver == "fista":
+            return (prob, *fista(prob, x0, cfg))
+        return (prob, *prox_gradient(prob, x0, cfg, line_search=solver == "pg-ls"))
+    if solver == "dr":
+        prob = lasso_dr_pair(spec)
+        cfg = SolverConfig(gamma=1.0, tol=1e-10, max_iter=3000, store_iterates=True)
+        return (prob, *douglas_rachford(prob, x0, cfg))
+    prob = lasso_composite_split(spec)
+    step = 0.9 / op_norm(prob.a)
+    cfg = SolverConfig(tau=step, sigma=step, tol=1e-10, max_iter=3000, store_iterates=True)
+    x, _y, trace = primal_dual(prob, x0, np.zeros(prob.a.n_out), cfg)
+    return prob, x, trace
+
+
+@pytest.mark.parametrize("solver", ["pg", "pg-ls", "fista", "dr", "pdhg"])
+def test_trace_objective_is_public_objective_bit_for_bit(solver):
+    spec = gen_lasso(8, 12, seed=3)
+    prob, x, trace = _run_on_lasso(solver, spec)
+    assert trace.converged and not trace.diverged
+    npt.assert_array_equal(trace.iterates[-1], x)
+    public = np.array([prob.objective(xk) for xk in trace.iterates])
+    assert public.tobytes() == np.array(trace.objective).tobytes()
+
+
+def _bare_fista(a, b, alpha, gamma, tol, max_iter):
+    """The lasso FISTA as a bare numpy loop, in the arithmetic order of fista;
+    returns every iterate, the start point included."""
+    x = np.zeros(a.shape[1])
+    xbar = x.copy()
+    tau = 1.0
+    iterates = [x]
+    for _ in range(max_iter):
+        v = xbar - gamma * (a.T @ (a @ xbar - b))
+        x_next = np.sign(v) * np.maximum(np.abs(v) - gamma * alpha, 0.0)
+        res = float(np.linalg.norm(x - x_next)) / gamma
+        tau_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
+        xbar = x_next + ((1.0 - tau) / tau_next) * (x - x_next)
+        x, tau = x_next, tau_next
+        iterates.append(x)
+        if res <= tol:
+            break
+    return iterates
+
+
+def test_fista_reproduces_bare_numpy_loop():
+    spec = gen_lasso(8, 12, seed=3)
+    prob, x, trace = _run_on_lasso("fista", spec)
+    gamma = 1.0 / prob.smooth.lipschitz
+    bare = _bare_fista(spec.a, spec.b, spec.alpha, gamma, 1e-10, 3000)
+    assert trace.converged
+    assert trace.n_iter == len(bare) - 1
+    assert np.array_equal(x, bare[-1])
+    assert all(np.array_equal(u, v) for u, v in zip(trace.iterates, bare))
+
+
+class _CountingL1(L1):
+    """L1 that counts prox evaluations, to show a check fired before any step."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _prox(self, gamma, x):
+        self.calls += 1
+        return super()._prox(gamma, x)
+
+
+@pytest.mark.parametrize("solver", ["pg", "pg-ls", "fista"])
+def test_wrong_length_gradient_is_rejected_at_entry(solver):
+    g = _CountingL1()
+    grads = []
+
+    def gradient(x):
+        grads.append(1)
+        return np.zeros(1)  # would broadcast against any iterate
+
+    prob = CompositeProblem(smooth=SmoothFn(lambda x: 0.0, gradient), g=g)
+    cfg = SolverConfig(gamma=1.0, max_iter=5)
+    with pytest.raises(DimensionMismatchError, match="gradient has shape"):
+        if solver == "fista":
+            fista(prob, np.ones(3), cfg)
+        else:
+            prox_gradient(prob, np.ones(3), cfg, line_search=solver == "pg-ls")
+    assert len(grads) == 1 and g.calls == 0
+
+
+def test_start_point_of_wrong_dimension_is_rejected_at_entry():
+    box = BoxIndicator(-np.ones(4), np.ones(4))
+    smooth = SmoothFn(lambda x: 0.5 * float(x @ x), lambda x: x)
+    f = _CountingL1()
+    x0 = np.zeros(3)
+    cfg = SolverConfig(gamma=1.0, tau=0.5, sigma=0.5, max_iter=5)
+    runs = [
+        lambda: proximal_point(box, x0, cfg),
+        lambda: prox_gradient(CompositeProblem(smooth=smooth, g=box), x0, cfg),
+        lambda: fista(CompositeProblem(smooth=smooth, g=box), x0, cfg),
+        lambda: douglas_rachford(CompositeProblem(f=f, g=box), x0, cfg),
+        lambda: primal_dual(CompositeProblem(f=f, g=box), x0, x0, cfg),
+    ]
+    for run in runs:
+        with pytest.raises(DimensionMismatchError, match="BoxIndicator: expected dimension 4"):
+            run()
+    assert f.calls == 0
+
+
+def test_primal_dual_dual_start_of_wrong_length_is_rejected_at_entry():
+    f = _CountingL1()
+    cfg = SolverConfig(tau=0.5, sigma=0.5, max_iter=5)
+    with pytest.raises(DimensionMismatchError, match="y0 of shape"):
+        primal_dual(CompositeProblem(f=f, g=SquaredL2()), np.zeros(3), np.zeros(1), cfg)
+    a = LinearOperator(np.ones((2, 3)) / 4.0)
+    with pytest.raises(DimensionMismatchError):
+        primal_dual(CompositeProblem(f=f, g=SquaredL2(), a=a), np.zeros(3), np.zeros(3), cfg)
+    assert f.calls == 0
+
+
+@pytest.mark.parametrize("solver", ["pg", "fista"])
+def test_overlong_step_ends_as_diverged_with_finite_iterate(solver):
+    spec, prob = _lasso_problem(seed=0, n=20)
+    cfg = SolverConfig(gamma=100.0 / prob.smooth.lipschitz, tol=1e-10, max_iter=5000)
+    # the overflow on the way to divergence is what this test provokes
+    with np.errstate(over="ignore", invalid="ignore"):
+        if solver == "fista":
+            x, trace = fista(prob, np.zeros(spec.n), cfg)
+        else:
+            x, trace = prox_gradient(prob, np.zeros(spec.n), cfg)
+    assert trace.diverged and not trace.converged
+    assert trace.n_iter < cfg.max_iter
+    assert np.all(np.isfinite(x))
+    assert len(trace) == trace.n_iter + 1
+    assert all(math.isfinite(r) for r in trace.residual[1:])
