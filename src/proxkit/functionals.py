@@ -385,7 +385,10 @@ class Quadratic(ProxFunctional):
         return self._conjugate
 
     def gradient(self, x) -> np.ndarray:
-        return self.Q @ as_vector(x) + self.c
+        return self._gradient(as_vector(x))
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.Q @ x + self.c
 
     def params(self):
         return {
@@ -433,13 +436,6 @@ class Scaled(ProxFunctional):
     def params(self):
         return {"alpha": self.alpha, "inner": self.inner.to_json()}
 
-    def structurally_equal(self, other, tol=1e-12):
-        return (
-            type(other) is Scaled
-            and abs(self.alpha - other.alpha) <= tol * (1 + abs(self.alpha))
-            and self.inner.structurally_equal(other.inner, tol)
-        )
-
 
 class Shifted(ProxFunctional):
     """F(. - x0): the graph of F translated to sit at x0."""
@@ -465,13 +461,6 @@ class Shifted(ProxFunctional):
 
     def params(self):
         return {"x0": [float(v) for v in self.x0], "inner": self.inner.to_json()}
-
-    def structurally_equal(self, other, tol=1e-12):
-        return (
-            type(other) is Shifted
-            and _params_close(list(self.x0), list(other.x0), tol)
-            and self.inner.structurally_equal(other.inner, tol)
-        )
 
 
 class Tilted(ProxFunctional):
@@ -501,13 +490,6 @@ class Tilted(ProxFunctional):
 
     def params(self):
         return {"v": [float(t) for t in self.v], "inner": self.inner.to_json()}
-
-    def structurally_equal(self, other, tol=1e-12):
-        return (
-            type(other) is Tilted
-            and _params_close(list(self.v), list(other.v), tol)
-            and self.inner.structurally_equal(other.inner, tol)
-        )
 
 
 class SeparableSum(ProxFunctional):
@@ -546,16 +528,6 @@ class SeparableSum(ProxFunctional):
 
     def params(self):
         return {"pieces": [p.to_json() for p in self.pieces]}
-
-    def structurally_equal(self, other, tol=1e-12):
-        return (
-            type(other) is SeparableSum
-            and len(self.pieces) == len(other.pieces)
-            and all(
-                a.structurally_equal(b, tol)
-                for a, b in zip(self.pieces, other.pieces)
-            )
-        )
 
 
 def _num_or_list(b: np.ndarray):
@@ -644,7 +616,11 @@ def prox_conjugate(F: ProxFunctional, gamma: float, x) -> np.ndarray:
     """
     if not (gamma > 0):
         raise ValueError("prox_conjugate: gamma must be positive")
-    x = F._check(x)
+    return _prox_conjugate(F, gamma, F._check(x))
+
+
+def _prox_conjugate(F: ProxFunctional, gamma: float, x: np.ndarray) -> np.ndarray:
+    """prox_conjugate at a vector that has already passed F's checks."""
     return x - gamma * F._prox(1.0 / gamma, x / gamma)
 
 

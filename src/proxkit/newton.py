@@ -107,7 +107,6 @@ class NewtonResult:
     iterates: list[np.ndarray] = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
-    last_system: NewtonSystem | None = None
 
     @property
     def n_iter(self) -> int:
@@ -141,7 +140,6 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
             out.converged = True
             break
         system = step(x, r)
-        out.last_system = system
         x_full = x + system.step
         if damped:
             x_try, t = x_full, 1.0

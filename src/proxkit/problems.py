@@ -220,20 +220,21 @@ class HuberSpec:
     def n(self) -> int:
         return self.b.size
 
-    def huber(self, x) -> float:
-        x = as_vector(x)
+    def objective(self, x) -> float:
+        return self._objective(as_vector(x))
+
+    # the two forms below take a validated vector; huber_composite hands
+    # them to the solvers as the smooth term
+
+    def _objective(self, x: np.ndarray) -> float:
         ax = np.abs(x)
         inside = ax <= self.gamma
         vals = np.where(inside, x * x / (2.0 * self.gamma), ax - self.gamma / 2.0)
-        return float(np.sum(vals))
-
-    def huber_grad(self, x) -> np.ndarray:
-        return np.clip(as_vector(x) / self.gamma, -1.0, 1.0)
-
-    def objective(self, x) -> float:
-        x = as_vector(x)
         d = x - self.b
-        return self.alpha * self.huber(x) + 0.5 * float(d @ d)
+        return self.alpha * float(np.sum(vals)) + 0.5 * float(d @ d)
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.alpha * np.clip(x / self.gamma, -1.0, 1.0) + (x - self.b)
 
     def to_json(self) -> dict:
         return {
@@ -474,8 +475,7 @@ def kkt_residual(spec, x) -> float:
     if isinstance(spec, ControlSpec):
         return kkt_residual(control_as_boxqp(spec), x)
     if isinstance(spec, HuberSpec):
-        g = spec.alpha * spec.huber_grad(x) + (x - spec.b)
-        return norm(g)
+        return norm(spec._gradient(x))
     raise TypeError(f"kkt_residual: unknown spec type {type(spec).__name__}")
 
 
@@ -517,7 +517,7 @@ def boxqp_composite(spec: BoxQPSpec) -> CompositeProblem:
     quad = Quadratic(spec.q, spec.c)
     lip = op_norm(LinearOperator(spec.q))
     smooth = SmoothFn(
-        value=quad.value, gradient=quad.gradient, lipschitz=lip if lip > 0 else None
+        value=quad._value, gradient=quad._gradient, lipschitz=lip if lip > 0 else None
     )
     return CompositeProblem(smooth=smooth, g=BoxIndicator(spec.lo, spec.hi))
 
@@ -536,8 +536,8 @@ def control_composite(spec: ControlSpec) -> CompositeProblem:
 def huber_composite(spec: HuberSpec) -> CompositeProblem:
     """Fully smooth problem: G is the zero functional."""
     smooth = SmoothFn(
-        value=spec.objective,
-        gradient=lambda x: spec.alpha * spec.huber_grad(x) + (as_vector(x) - spec.b),
+        value=spec._objective,
+        gradient=spec._gradient,
         lipschitz=spec.alpha / spec.gamma + 1.0,
     )
     return CompositeProblem(smooth=smooth, g=Zero())

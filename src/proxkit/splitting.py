@@ -9,10 +9,14 @@ than an objective difference.
 Inputs are validated once, at solver entry: the start point is coerced and
 checked finite, each functional's dimension is checked against it, a smooth
 term's gradient at the start point must have the iterate's shape, and step
-sizes become floats.  The loops then run on raw arrays, calling the
-functionals' ``_prox``/``_value`` and the smooth term's own callables.
-Finiteness costs one test per step: a non-finite residual, which any inf or
-nan entry in the old or new iterate produces, ends the run with
+sizes become floats.  Each solver then supplies a step kernel to one shared
+loop, ``_run``, which owns trace rows (row 0 included) and their wall
+clock, the Fejer distances and stored iterates, and both stopping rules.
+The kernels run on raw arrays, calling the functionals' ``_prox``/``_value``
+and the smooth term's own callables; Douglas-Rachford and the primal-dual
+method each keep their sweep in one function, which ``dr_as_pdhg_check``
+runs too.  Finiteness costs one test per step: a non-finite residual, which
+any inf or nan entry in the old or new iterate produces, ends the run with
 ``trace.diverged`` set; the solver returns the last finite iterate and does
 not record the non-finite row.
 """
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import ProxFunctional, prox_conjugate
+from .functionals import ProxFunctional, _prox_conjugate
 from .linalg import DimensionMismatchError, LinearOperator, as_vector, norm, op_norm
 
 __all__ = [
@@ -225,6 +229,64 @@ def _start(problem: CompositeProblem, x0) -> np.ndarray:
     return x
 
 
+def _gradient_start(name: str, problem: CompositeProblem, x0, cfg: SolverConfig):
+    """(smooth, g, gamma, x) for a gradient method; gamma defaults to 1/L."""
+    _require(problem.g is not None, f"{name}: problem.g is required")
+    _require(problem.smooth is not None, f"{name}: problem.smooth is required")
+    gamma = cfg.gamma
+    if gamma is None:
+        _require(
+            problem.smooth.lipschitz is not None,
+            f"{name}: need cfg.gamma or smooth.lipschitz",
+        )
+        gamma = 1.0 / problem.smooth.lipschitz
+    return problem.smooth, problem.g, float(gamma), _start(problem, x0)
+
+
+def _run(cfg: SolverConfig, state, step, row, size: float, ref=None):
+    """The loop every splitting solver runs; returns (state, trace).
+
+    step(state, k) returns (next state, residual, step size) for iteration
+    k >= 1, and row(state) returns (iterate, objective, gap) for the trace.
+    Row 0 records the start with an infinite residual and step size
+    ``size``.  A non-finite residual ends the run with ``trace.diverged``
+    set, keeping the previous state and recording no row; a residual of at
+    most cfg.tol ends it with ``trace.converged`` set.  With ref given the
+    trace keeps ||x^k - ref|| in ``fejer``; with cfg.store_iterates it keeps
+    a copy of every x^k.
+    """
+    trace = IterTrace()
+    if ref is not None:
+        ref = as_vector(ref)
+        trace.fejer = []
+    if cfg.store_iterates:
+        trace.iterates = []
+    t0 = time.perf_counter()
+    res = math.inf
+    for k in range(cfg.max_iter + 1):
+        if k:
+            next_state, res, size = step(state, k)
+            if not math.isfinite(res):
+                trace.diverged = True
+                break
+            state = next_state
+        x, objective, gap = row(state)
+        trace.append(k, objective, res, gap, size, (time.perf_counter() - t0) * 1e3)
+        if ref is not None:
+            trace.fejer.append(norm(x - ref))
+        if trace.iterates is not None:
+            trace.iterates.append(x.copy())
+        if res <= cfg.tol:
+            trace.converged = True
+            break
+    return state, trace
+
+
+def _objective_row(problem: CompositeProblem):
+    """row(state) for a state whose first entry is the iterate; no gap."""
+    return lambda s: (s[0], problem._objective(s[0]), math.nan)
+
+
 def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
     """Iterate x <- prox_{gamma g}(x) until the scaled residual passes tol.
 
@@ -234,36 +296,12 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
     _require(cfg.gamma is not None, "proximal_point: cfg.gamma is required")
     gamma = float(cfg.gamma)
     x = g._check(x0).copy()
-    ref = None if x_ref is None else as_vector(x_ref)
-    trace = IterTrace()
-    if ref is not None:
-        trace.fejer = []
-    if cfg.store_iterates:
-        trace.iterates = []
-    t0 = time.perf_counter()
 
-    def record(k, xk, res):
-        trace.append(
-            k, g._value(xk), res, math.nan, gamma, (time.perf_counter() - t0) * 1e3
-        )
-        if ref is not None:
-            trace.fejer.append(norm(xk - ref))
-        if trace.iterates is not None:
-            trace.iterates.append(xk.copy())
-
-    record(0, x, math.inf)
-    for k in range(1, cfg.max_iter + 1):
+    def step(x, k):
         x_next = g._prox(gamma, x)
-        res = norm(x - x_next) / gamma
-        if not math.isfinite(res):
-            trace.diverged = True
-            break
-        x = x_next
-        record(k, x, res)
-        if res <= cfg.tol:
-            trace.converged = True
-            break
-    return x, trace
+        return x_next, norm(x - x_next) / gamma, gamma
+
+    return _run(cfg, x, step, lambda x: (x, g._value(x), math.nan), gamma, x_ref)
 
 
 def _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k):
@@ -297,43 +335,10 @@ def prox_gradient(
     from min(2*previous, initial).  Fixed-step mode needs gamma <= 1/L for
     the descent guarantee.
     """
-    _require(problem.g is not None, "prox_gradient: problem.g is required")
-    _require(problem.smooth is not None, "prox_gradient: problem.smooth is required")
-    smooth, g = problem.smooth, problem.g
-    gamma0 = cfg.gamma
-    if gamma0 is None:
-        _require(
-            smooth.lipschitz is not None,
-            "prox_gradient: need cfg.gamma or smooth.lipschitz",
-        )
-        gamma0 = 1.0 / smooth.lipschitz
-    gamma0 = float(gamma0)
-    x = _start(problem, x0)
-    ref = None if x_ref is None else as_vector(x_ref)
-    trace = IterTrace()
-    if ref is not None:
-        trace.fejer = []
-    if cfg.store_iterates:
-        trace.iterates = []
-    t0 = time.perf_counter()
+    smooth, g, gamma0, x = _gradient_start("prox_gradient", problem, x0, cfg)
 
-    def record(k, xk, res, step):
-        trace.append(
-            k,
-            problem._objective(xk),
-            res,
-            math.nan,
-            step,
-            (time.perf_counter() - t0) * 1e3,
-        )
-        if ref is not None:
-            trace.fejer.append(norm(xk - ref))
-        if trace.iterates is not None:
-            trace.iterates.append(xk.copy())
-
-    record(0, x, math.inf, gamma0)
-    gamma = gamma0
-    for k in range(1, cfg.max_iter + 1):
+    def step(s, k):
+        x, gamma = s
         grad = smooth._gradient(x)
         if line_search:
             gamma = min(2.0 * gamma, gamma0)
@@ -341,15 +346,11 @@ def prox_gradient(
             x_next, gamma = _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k)
         else:
             x_next = g._prox(gamma, x - gamma * grad)
-        res = norm(x - x_next) / gamma
-        if not math.isfinite(res):
-            trace.diverged = True
-            break
-        x = x_next
-        record(k, x, res, gamma)
-        if res <= cfg.tol:
-            trace.converged = True
-            break
+        return (x_next, gamma), norm(x - x_next) / gamma, gamma
+
+    (x, _), trace = _run(
+        cfg, (x, gamma0), step, _objective_row(problem), gamma0, x_ref
+    )
     return x, trace
 
 
@@ -360,53 +361,32 @@ def fista(problem: CompositeProblem, x0, cfg: SolverConfig):
     point is x^{k+1} + ((1 - tau_k)/tau_{k+1}) (x^k - x^{k+1}).  The trace
     keeps the tau sequence so the recurrence can be audited afterwards.
     """
-    _require(problem.g is not None, "fista: problem.g is required")
-    _require(problem.smooth is not None, "fista: problem.smooth is required")
-    smooth, g = problem.smooth, problem.g
-    gamma = cfg.gamma
-    if gamma is None:
-        _require(
-            smooth.lipschitz is not None, "fista: need cfg.gamma or smooth.lipschitz"
-        )
-        gamma = 1.0 / smooth.lipschitz
-    gamma = float(gamma)
-    x = _start(problem, x0)
-    xbar = x.copy()
-    tau = 1.0
-    trace = IterTrace()
-    trace.taus = [tau]
-    if cfg.store_iterates:
-        trace.iterates = []
-    t0 = time.perf_counter()
+    smooth, g, gamma, x = _gradient_start("fista", problem, x0, cfg)
+    objective_row = _objective_row(problem)
+    taus = []
 
-    def record(k, xk, res):
-        trace.append(
-            k,
-            problem._objective(xk),
-            res,
-            math.nan,
-            gamma,
-            (time.perf_counter() - t0) * 1e3,
-        )
-        if trace.iterates is not None:
-            trace.iterates.append(xk.copy())
-
-    record(0, x, math.inf)
-    for k in range(1, cfg.max_iter + 1):
+    def step(s, k):
+        x, xbar, tau = s
         x_next = g._prox(gamma, xbar - gamma * smooth._gradient(xbar))
         res = norm(x - x_next) / gamma
-        if not math.isfinite(res):
-            trace.diverged = True
-            break
         tau_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
         xbar = x_next + ((1.0 - tau) / tau_next) * (x - x_next)
-        x, tau = x_next, tau_next
-        trace.taus.append(tau)
-        record(k, x, res)
-        if res <= cfg.tol:
-            trace.converged = True
-            break
+        return (x_next, xbar, tau_next), res, gamma
+
+    def row(s):
+        taus.append(s[2])
+        return objective_row(s)
+
+    (x, _, _), trace = _run(cfg, (x, x.copy(), 1.0), step, row, gamma)
+    trace.taus = taus
     return x, trace
+
+
+def _dr_sweep(f: ProxFunctional, g: ProxFunctional, gamma: float, z):
+    """One Douglas-Rachford sweep from z; returns (x, y, z_next)."""
+    x = f._prox(gamma, z)
+    y = g._prox(gamma, 2.0 * x - z)
+    return x, y, z + y - x
 
 
 def douglas_rachford(problem: CompositeProblem, z0, cfg: SolverConfig):
@@ -422,40 +402,25 @@ def douglas_rachford(problem: CompositeProblem, z0, cfg: SolverConfig):
     _require(cfg.gamma is not None, "douglas_rachford: cfg.gamma is required")
     f, g, gamma = problem.f, problem.g, float(cfg.gamma)
     z = _start(problem, z0)
-    trace = IterTrace()
-    if cfg.store_iterates:
-        trace.iterates = []
-    t0 = time.perf_counter()
-    x = f._prox(gamma, z)
-    y = x
 
-    def record(k, yk, res):
-        trace.append(
-            k,
-            problem._objective(yk),
-            res,
-            math.nan,
-            gamma,
-            (time.perf_counter() - t0) * 1e3,
-        )
-        if trace.iterates is not None:
-            trace.iterates.append(yk.copy())
+    def step(s, k):
+        x, y, z = _dr_sweep(f, g, gamma, s[1])
+        return (y, z), norm(y - x), gamma
 
-    record(0, x, math.inf)
-    for k in range(1, cfg.max_iter + 1):
-        x = f._prox(gamma, z)
-        y_next = g._prox(gamma, 2.0 * x - z)
-        res = norm(y_next - x)
-        if not math.isfinite(res):
-            trace.diverged = True
-            break
-        y = y_next
-        z = z + y - x
-        record(k, y, res)
-        if res <= cfg.tol:
-            trace.converged = True
-            break
+    (y, _), trace = _run(
+        cfg, (f._prox(gamma, z), z), step, _objective_row(problem), gamma
+    )
     return y, trace
+
+
+def _pdhg_sweep(f: ProxFunctional, g: ProxFunctional, a, tau: float, sigma: float, x, y):
+    """One primal-dual sweep from (x, y), A = a or the identity when a is None;
+    returns (x_next, y_next)."""
+    aty = y if a is None else a.adjoint_apply(y)
+    x_next = f._prox(tau, x - tau * aty)
+    xbar = 2.0 * x_next - x
+    axbar = xbar if a is None else a.apply(xbar)
+    return x_next, _prox_conjugate(g, sigma, y + sigma * axbar)
 
 
 def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
@@ -488,39 +453,16 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
         raise DimensionMismatchError(
             f"primal_dual: y0 of shape {y.shape} does not pair with x0 of shape {x.shape}"
         )
-    trace = IterTrace()
-    if cfg.store_iterates:
-        trace.iterates = []
-    t0 = time.perf_counter()
 
-    def record(k, xk, yk, res):
-        trace.append(
-            k,
-            problem._objective(xk),
-            res,
-            duality_gap(problem, xk, yk),
-            tau,
-            (time.perf_counter() - t0) * 1e3,
-        )
-        if trace.iterates is not None:
-            trace.iterates.append(xk.copy())
+    def step(s, k):
+        x, y = s
+        x_next, y_next = _pdhg_sweep(f, g, a, tau, sigma, x, y)
+        return (x_next, y_next), norm(x - x_next) / tau + norm(y - y_next) / sigma, tau
 
-    record(0, x, y, math.inf)
-    for k in range(1, cfg.max_iter + 1):
-        aty = y if a is None else a.adjoint_apply(y)
-        x_next = f._prox(tau, x - tau * aty)
-        xbar = 2.0 * x_next - x
-        axbar = xbar if a is None else a.apply(xbar)
-        y_next = prox_conjugate(g, sigma, y + sigma * axbar)
-        res = norm(x - x_next) / tau + norm(y - y_next) / sigma
-        if not math.isfinite(res):
-            trace.diverged = True
-            break
-        x, y = x_next, y_next
-        record(k, x, y, res)
-        if res <= cfg.tol:
-            trace.converged = True
-            break
+    def row(s):
+        return s[0], problem._objective(s[0]), _duality_gap(problem, *s)
+
+    (x, y), trace = _run(cfg, (x, y), step, row, tau)
     return x, y, trace
 
 
@@ -534,11 +476,19 @@ def duality_gap(problem: CompositeProblem, x, y) -> float:
     _require(problem.g is not None, "duality_gap: problem.g is required")
     x = as_vector(x)
     y = as_vector(y)
+    problem._check_point(x)
+    problem.f.conjugate()._check(y if problem.a is None else problem.a.adjoint_apply(y))
+    problem.g.conjugate()._check(y)
+    return _duality_gap(problem, x, y)
+
+
+def _duality_gap(problem: CompositeProblem, x: np.ndarray, y: np.ndarray) -> float:
+    """The duality gap at a pair that has already passed the checks."""
     a = problem.a
     ax = x if a is None else a.apply(x)
     aty = y if a is None else a.adjoint_apply(y)
-    primal = problem.f.value(x) + problem.g.value(ax)
-    dual = -problem.f.conjugate().value(-aty) - problem.g.conjugate().value(y)
+    primal = problem.f._value(x) + problem.g._value(ax)
+    dual = -problem.f.conjugate()._value(-aty) - problem.g.conjugate()._value(y)
     return primal - dual
 
 
@@ -549,27 +499,34 @@ def dr_as_pdhg_check(
 
     With A = Id, tau = gamma, sigma = 1/gamma, x^0 = z^0, y^0 = 0, the
     combination x^k - gamma*y^k of the primal-dual iterates reproduces the
-    Douglas-Rachford z^k exactly.  Both loops run inline here because the
-    parameter choice sits on the sigma*tau*||A||^2 = 1 boundary that the
-    solver's strict admissibility check refuses.  Returns
-    max_k ||z_dr^k - (x^k - gamma*y^k)||.
+    Douglas-Rachford z^k exactly.  The two iterations run side by side
+    through the sweeps that douglas_rachford and primal_dual use; this
+    parameter choice sits on the sigma*tau*||A||^2 = 1 boundary that
+    primal_dual's strict admissibility check refuses, so the check hands
+    the sweeps to ``_run`` itself.  Returns
+    max_k ||z_dr^k - (x^k - gamma*y^k)|| over k <= n_iter, or inf when an
+    iterate turns non-finite.
     """
     if not (gamma > 0):
         raise ValueError("dr_as_pdhg_check: gamma must be positive")
-    z = as_vector(z0).copy()
-    x = z.copy()
-    y = np.zeros_like(z)
+    gamma = float(gamma)
     sigma = 1.0 / gamma
-    worst = 0.0
-    for _ in range(n_iter):
-        # Douglas-Rachford sweep
-        xd = f.prox(gamma, z)
-        yd = g.prox(gamma, 2.0 * xd - z)
-        z = z + yd - xd
-        # primal-dual sweep with A = Id
-        x_next = f.prox(gamma, x - gamma * y)
-        xbar = 2.0 * x_next - x
-        y = prox_conjugate(g, sigma, y + sigma * xbar)
-        x = x_next
-        worst = max(worst, norm(z - (x - gamma * y)))
-    return worst
+    z = f._check(z0).copy()
+    g._check(z)
+
+    def step(s, k):
+        z, x, y = s
+        z_next = _dr_sweep(f, g, gamma, z)[2]
+        x_next, y_next = _pdhg_sweep(f, g, None, gamma, sigma, x, y)
+        res = norm(z_next - z) + norm(x_next - x) + norm(y_next - y)
+        return (z_next, x_next, y_next), res, gamma
+
+    def row(s):
+        z, x, y = s
+        return z, math.nan, norm(z - (x - gamma * y))
+
+    # tol is the least positive float: in practice the run ends early only
+    # once neither iteration moves, and from there the deviation is final
+    cfg = SolverConfig(tol=math.ulp(0.0), max_iter=n_iter)
+    _, trace = _run(cfg, (z, z.copy(), np.zeros_like(z)), step, row, gamma)
+    return math.inf if trace.diverged else max(trace.gap)

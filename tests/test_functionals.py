@@ -159,6 +159,33 @@ def test_biconjugation_is_structural_identity():
         assert g.structurally_equal(f), f"{name}: {g!r} != {f!r}"
 
 
+def test_structural_inequality_reaches_nested_parameters():
+    # the base comparison walks params() into wrapped functionals and pieces
+    v = np.array([1.0, -2.0, 0.5])
+    w = np.array([1.0, -2.0, 0.25])
+    unequal = [
+        (Scaled(2.0, L1()), Scaled(2.0, L2Norm())),  # inner kind
+        (Scaled(2.0, L1()), Scaled(2.5, L1())),  # alpha
+        (Shifted(v, L1()), Shifted(w, L1())),  # shift vector
+        (Shifted(v, L1()), Shifted(v, L2Norm())),  # inner kind
+        (Tilted(L1(), v), Tilted(L1(), w)),  # tilt vector
+        (Tilted(L1(), v), Shifted(v, L1())),  # outer kind
+        (SeparableSum([L1(), SquaredL2()]), SeparableSum([L1(), L1()])),  # a piece
+        (SeparableSum([L1(), L1()]), SeparableSum([L1(), L1(), L1()])),  # piece count
+        (
+            SeparableSum([BoxIndicator(0.0, 1.0)]),
+            SeparableSum([BoxIndicator(0.0, 2.0)]),
+        ),  # a piece's parameters
+    ]
+    for a, b in unequal:
+        assert not a.structurally_equal(b), f"{a!r} == {b!r}"
+        assert not b.structurally_equal(a), f"{b!r} == {a!r}"
+        assert a.structurally_equal(a) and b.structurally_equal(b)
+    # equal up to the relative tolerance
+    assert Scaled(2.0, L1()).structurally_equal(Scaled(2.0 + 1e-14, L1()))
+    assert Shifted(v, L1()).structurally_equal(Shifted(v + 1e-14, L1()))
+
+
 def test_quadratic_conjugate_is_memoized_closed_form():
     rng = np.random.default_rng(3)
     b0 = rng.standard_normal((6, 6))

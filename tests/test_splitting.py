@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from proxkit import splitting
 from proxkit.functionals import (
     BoxIndicator,
     L1,
@@ -490,3 +491,49 @@ def test_overlong_step_ends_as_diverged_with_finite_iterate(solver):
     assert np.all(np.isfinite(x))
     assert len(trace) == trace.n_iter + 1
     assert all(math.isfinite(r) for r in trace.residual[1:])
+
+
+def test_primal_dual_overflow_ends_as_diverged_with_finite_iterates():
+    prob = CompositeProblem(f=Zero(), g=SquaredL2())
+    cfg = SolverConfig(tau=0.9, sigma=0.9)
+    # the overflow on the way to divergence is what this test provokes
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, trace = primal_dual(prob, np.full(3, 1e308), np.zeros(3), cfg)
+    assert trace.diverged and not trace.converged
+    assert len(trace) == trace.n_iter + 1
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+
+
+# --- one loop, shared sweeps -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("sweep", ["_dr_sweep", "_pdhg_sweep"])
+def test_solver_and_dr_as_pdhg_check_run_the_same_sweep(sweep, monkeypatch):
+    # bending the shared sweep must show in the solver's trace and in the
+    # check's deviation, so the check audits the code the solver runs
+    q, c, _ = _tiny_quadratic(seed=1)
+    f, g = Quadratic(q, c), scale(L1(), 0.4)
+    prob = CompositeProblem(f=f, g=g)
+    z0 = np.random.default_rng(11).standard_normal(4)
+
+    def run():
+        if sweep == "_dr_sweep":
+            _, trace = douglas_rachford(prob, z0, SolverConfig(gamma=0.8, max_iter=30))
+        else:
+            cfg = SolverConfig(tau=0.8, sigma=0.8, max_iter=30)
+            _, _, trace = primal_dual(prob, z0, np.zeros(4), cfg)
+        rows = [line.rsplit(",", 1)[0] for line in trace.to_csv().splitlines()]
+        return rows, dr_as_pdhg_check(f, g, z0, gamma=0.8, n_iter=30)
+
+    rows, deviation = run()
+    assert deviation <= 1e-10
+    real = getattr(splitting, sweep)
+
+    def bent(*args):
+        *head, last = real(*args)
+        return (*head, last + 1e-3)
+
+    monkeypatch.setattr(splitting, sweep, bent)
+    bent_rows, bent_deviation = run()
+    assert bent_rows[:2] == rows[:2] and bent_rows[2:] != rows[2:]  # header, row 0
+    assert bent_deviation > 1e-4
