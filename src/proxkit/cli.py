@@ -228,9 +228,20 @@ def _kind_of(spec) -> str:
     }[type(spec)]
 
 
-def _run_solver(spec, solver: str, args):
+def _smooth_composite(spec) -> CompositeProblem:
+    """The smooth-plus-prox form that pg, pg-ls and fista run on."""
+    return {
+        "lasso": problems.lasso_composite_smooth,
+        "boxqp": problems.boxqp_composite,
+        "control": problems.control_composite,
+        "huber": problems.huber_composite,
+    }[_kind_of(spec)](spec)
+
+
+def _run_solver(spec, solver: str, args, smooth=None):
     """Dispatch (spec, solver) to a configured run; UsageError before any work
-    when the pairing makes no sense."""
+    when the pairing makes no sense.  smooth, when given, is the instance's
+    _smooth_composite, built once and shared by the gradient methods."""
     kind = _kind_of(spec)
     n = spec.n
     x0 = np.zeros(n)
@@ -238,12 +249,7 @@ def _run_solver(spec, solver: str, args):
         raise UsageError(f"solver {solver} does not apply to the huber problem")
 
     if solver in ("pg", "pg-ls", "fista"):
-        comp = {
-            "lasso": problems.lasso_composite_smooth,
-            "boxqp": problems.boxqp_composite,
-            "control": problems.control_composite,
-            "huber": problems.huber_composite,
-        }[kind](spec)
+        comp = smooth or _smooth_composite(spec)
         cfg = SolverConfig(gamma=args.gamma, tol=args.tol, max_iter=args.max_iter)
         if solver == "fista":
             x, trace = fista(comp, x0, cfg)
@@ -509,9 +515,10 @@ def cmd_bench(args) -> int:
     if args.out is not None:
         tmp, out = _stage_out_dir(args.out)
     ns = argparse.Namespace(**vars(args), gamma=None, tau=None, sigma=None)
+    smooth = _smooth_composite(spec)
     for solver in solvers:
         with np.errstate(over="ignore", invalid="ignore"):
-            x, trace = _run_solver(spec, solver, ns)
+            x, trace = _run_solver(spec, solver, ns, smooth)
             rows.append(
                 (
                     solver,
@@ -545,7 +552,7 @@ def cmd_bench(args) -> int:
         )
         _publish(tmp, out)
         print(f"wrote {out}/")
-    return 0
+    return 0 if all(r[2] == "yes" for r in rows) else 3
 
 
 # --- entry ------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_vector, inner
+from .linalg import DimensionMismatchError, as_vector, inner, norm
 
 __all__ = [
     "ProxFunctional",
@@ -68,13 +68,17 @@ def _feas_tol(bound):
 class ProxFunctional:
     """A proper convex lsc functional with closed-form value, prox, conjugate.
 
-    Subclasses implement ``_value``, ``_prox`` and ``conjugate``; the public
+    Subclasses implement ``_value``, ``_prox`` and ``_conjugate``; the public
     ``value``/``prox`` wrappers coerce and dimension-check their inputs.
+    ``conjugate()`` builds the conjugate with ``_conjugate`` on the first
+    call and returns that same object on every later call; catalog entries
+    own read-only copies of their data, so the memo cannot go stale.
     ``expected_dim`` is None for dimension-agnostic kinds.
     """
 
     kind = "abstract"
     expected_dim: int | None = None
+    _conj: "ProxFunctional | None" = None
 
     def _check(self, x) -> np.ndarray:
         v = as_vector(x)
@@ -93,6 +97,11 @@ class ProxFunctional:
         return self._prox(float(gamma), self._check(x))
 
     def conjugate(self) -> "ProxFunctional":
+        if self._conj is None:
+            self._conj = self._conjugate()
+        return self._conj
+
+    def _conjugate(self) -> "ProxFunctional":
         raise NotImplementedError
 
     def _value(self, x: np.ndarray) -> float:
@@ -143,7 +152,7 @@ class Zero(ProxFunctional):
     def _prox(self, gamma, x):
         return x.copy()
 
-    def conjugate(self):
+    def _conjugate(self):
         # sup_x <y,x> is the indicator of {0}
         return InfBallIndicator(0.0)
 
@@ -159,7 +168,7 @@ class SquaredL2(ProxFunctional):
     def _prox(self, gamma, x):
         return x / (1.0 + gamma)
 
-    def conjugate(self):
+    def _conjugate(self):
         return SquaredL2()
 
 
@@ -169,12 +178,12 @@ class L1(ProxFunctional):
     kind = "L1"
 
     def _value(self, x):
-        return float(np.sum(np.abs(x)))
+        return float(np.abs(x).sum())
 
     def _prox(self, gamma, x):
         return np.sign(x) * np.maximum(np.abs(x) - gamma, 0.0)
 
-    def conjugate(self):
+    def _conjugate(self):
         return InfBallIndicator(1.0)
 
 
@@ -184,15 +193,15 @@ class L2Norm(ProxFunctional):
     kind = "L2Norm"
 
     def _value(self, x):
-        return float(np.linalg.norm(x))
+        return norm(x)
 
     def _prox(self, gamma, x):
-        nx = float(np.linalg.norm(x))
+        nx = norm(x)
         if nx <= gamma:
             return np.zeros_like(x)
         return (1.0 - gamma / nx) * x
 
-    def conjugate(self):
+    def _conjugate(self):
         return L2BallIndicator(1.0)
 
 
@@ -227,13 +236,13 @@ class BoxIndicator(ProxFunctional):
         self._hi_slack = self.hi + _feas_tol(self.hi)
 
     def _value(self, x):
-        ok = np.all(x >= self._lo_slack) and np.all(x <= self._hi_slack)
+        ok = (x >= self._lo_slack).all() and (x <= self._hi_slack).all()
         return 0.0 if ok else INF
 
     def _prox(self, gamma, x):
         return np.clip(x, self.lo, self.hi)
 
-    def conjugate(self):
+    def _conjugate(self):
         return BoxSupport(self.lo, self.hi)
 
     def params(self):
@@ -257,7 +266,7 @@ class BoxSupport(ProxFunctional):
             self.expected_dim = self.hi.size
 
     def _value(self, x):
-        if np.any(((x > 0.0) & np.isinf(self.hi)) | ((x < 0.0) & np.isinf(self.lo))):
+        if (((x > 0.0) & np.isinf(self.hi)) | ((x < 0.0) & np.isinf(self.lo))).any():
             return INF
         # choosing the bound before multiplying never forms inf * 0; cumsum
         # adds left to right (np.sum is pairwise), and + 0.0 turns an
@@ -270,7 +279,7 @@ class BoxSupport(ProxFunctional):
         # prox_{g*sigma}(x) = x - g*clip(x/g, lo, hi)
         return x - gamma * np.clip(x / gamma, self.lo, self.hi)
 
-    def conjugate(self):
+    def _conjugate(self):
         return BoxIndicator(self.lo, self.hi)
 
     def params(self):
@@ -290,12 +299,12 @@ class InfBallIndicator(ProxFunctional):
 
     def _value(self, x):
         tol = _FEAS * (1.0 + self.radius)
-        return 0.0 if np.all(np.abs(x) <= self.radius + tol) else INF
+        return 0.0 if (np.abs(x) <= self.radius + tol).all() else INF
 
     def _prox(self, gamma, x):
         return np.clip(x, -self.radius, self.radius)
 
-    def conjugate(self):
+    def _conjugate(self):
         if self.radius == 0.0:
             return Zero()
         if self.radius == 1.0:
@@ -319,17 +328,17 @@ class L2BallIndicator(ProxFunctional):
 
     def _value(self, x):
         tol = _FEAS * (1.0 + self.radius)
-        return 0.0 if np.linalg.norm(x) <= self.radius + tol else INF
+        return 0.0 if norm(x) <= self.radius + tol else INF
 
     def _prox(self, gamma, x):
-        nx = float(np.linalg.norm(x))
+        nx = norm(x)
         if nx <= self.radius:
             return x.copy()
         if self.radius == 0.0:
             return np.zeros_like(x)
         return (self.radius / nx) * x
 
-    def conjugate(self):
+    def _conjugate(self):
         if self.radius == 0.0:
             return Zero()
         if self.radius == 1.0:
@@ -346,8 +355,8 @@ class Quadratic(ProxFunctional):
     Q and c are read-only copies of the inputs, which makes both caches
     sound.  prox applies the explicit inverse of I + gamma*Q to
     x - gamma*c; the inverse is cached for the last gamma, since solvers
-    hold gamma fixed.  conjugate needs Q nonsingular; it inverts Q on the
-    first call and returns the same Quadratic on every later call.
+    hold gamma fixed.  conjugate needs Q nonsingular; Q is inverted once,
+    on the first call.
     """
 
     kind = "Quadratic"
@@ -365,7 +374,6 @@ class Quadratic(ProxFunctional):
         self.d = float(d)
         self.expected_dim = self.c.size
         self._prox_cache: tuple[float, np.ndarray] | None = None
-        self._conjugate: Quadratic | None = None
 
     def _value(self, x):
         return 0.5 * float(x @ (self.Q @ x)) + float(self.c @ x) + self.d
@@ -376,13 +384,11 @@ class Quadratic(ProxFunctional):
             self._prox_cache = (gamma, np.linalg.inv(M))
         return self._prox_cache[1] @ (x - gamma * self.c)
 
-    def conjugate(self):
-        if self._conjugate is None:
-            Qinv = np.linalg.inv(self.Q)
-            Qinv = 0.5 * (Qinv + Qinv.T)
-            ic = Qinv @ self.c
-            self._conjugate = Quadratic(Qinv, -ic, 0.5 * float(self.c @ ic) - self.d)
-        return self._conjugate
+    def _conjugate(self):
+        Qinv = np.linalg.inv(self.Q)
+        Qinv = 0.5 * (Qinv + Qinv.T)
+        ic = Qinv @ self.c
+        return Quadratic(Qinv, -ic, 0.5 * float(self.c @ ic) - self.d)
 
     def gradient(self, x) -> np.ndarray:
         return self._gradient(as_vector(x))
@@ -425,7 +431,7 @@ class Scaled(ProxFunctional):
     def _prox(self, gamma, x):
         return self.inner._prox(gamma * self.alpha, x)
 
-    def conjugate(self):
+    def _conjugate(self):
         # (a F)*(y) = a F*(y/a); closed form per wrapped kind
         if isinstance(self.inner, SquaredL2):
             return scale(SquaredL2(), 1.0 / self.alpha)
@@ -455,7 +461,7 @@ class Shifted(ProxFunctional):
     def _prox(self, gamma, x):
         return self.x0 + self.inner._prox(gamma, x - self.x0)
 
-    def conjugate(self):
+    def _conjugate(self):
         # sup <y,x> - F(x-x0) = F*(y) + <y,x0>
         return Tilted(self.inner.conjugate(), self.x0)
 
@@ -484,7 +490,7 @@ class Tilted(ProxFunctional):
     def _prox(self, gamma, x):
         return self.inner._prox(gamma, x - gamma * self.v)
 
-    def conjugate(self):
+    def _conjugate(self):
         # sup <y,x> - F(x) - <v,x> = F*(y - v)
         return Shifted(self.v, self.inner.conjugate())
 
@@ -523,7 +529,7 @@ class SeparableSum(ProxFunctional):
             [p._prox(gamma, np.array([xi]))[0] for p, xi in zip(self.pieces, x)]
         )
 
-    def conjugate(self):
+    def _conjugate(self):
         return SeparableSum([p.conjugate() for p in self.pieces])
 
     def params(self):

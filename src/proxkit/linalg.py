@@ -9,6 +9,8 @@ symmetric positive definite Newton systems.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -66,7 +68,10 @@ def inner(x, y) -> float:
 
 
 def norm(x) -> float:
-    return float(np.linalg.norm(x))
+    """Euclidean (Frobenius) norm, by the formula np.linalg.norm uses for
+    vectors, without its Python wrapper: sqrt of the raveled self-dot."""
+    v = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 class LinearOperator:
@@ -154,18 +159,18 @@ def op_norm(A: LinearOperator, tol: float = 1e-10, max_iter: int = 5000) -> floa
 
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(A.n_in)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     est_prev = 0.0
     est = 0.0
     for _ in range(max_iter):
         w = M.T @ (M @ v)
-        nw = np.linalg.norm(w)
+        nw = norm(w)
         if nw == 0.0:
             # v landed in the null space; restart deterministically
             v = rng.standard_normal(A.n_in)
-            v /= np.linalg.norm(v)
+            v /= norm(v)
             continue
-        est = np.sqrt(nw)  # ||A*A v||^(1/2) -> sigma_max as v aligns
+        est = math.sqrt(nw)  # ||A*A v||^(1/2) -> sigma_max as v aligns
         v = w / nw
         if est_prev > 0 and abs(est - est_prev) <= tol * est:
             break
@@ -187,7 +192,7 @@ def solve_spd(M, b, tol: float = 1e-12, max_iter: int | None = None) -> np.ndarr
     n = b.size
     if A.shape != (n, n):
         raise DimensionMismatchError(f"solve_spd: matrix {A.shape} vs rhs {b.shape}")
-    nb = np.linalg.norm(b)
+    nb = norm(b)
     if nb == 0.0:
         return np.zeros(n)
     if max_iter is None:
@@ -198,7 +203,7 @@ def solve_spd(M, b, tol: float = 1e-12, max_iter: int | None = None) -> np.ndarr
     p = r.copy()
     rs = float(r @ r)
     for k in range(max_iter):
-        if np.sqrt(rs) <= tol * nb:
+        if math.sqrt(rs) <= tol * nb:
             return x
         Ap = A @ p
         curv = float(p @ Ap)
@@ -216,7 +221,7 @@ def solve_spd(M, b, tol: float = 1e-12, max_iter: int | None = None) -> np.ndarr
         rs = rs_new
     # final check: CG on SPD systems reaches the tolerance in <= n exact steps;
     # if rounding kept us above it, report the true residual honestly
-    res = np.linalg.norm(A @ x - b)
+    res = norm(A @ x - b)
     if res <= tol * nb:
         return x
     raise RuntimeError(

@@ -141,16 +141,15 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
             break
         system = step(x, r)
         x_full = x + system.step
-        if damped:
-            x_try, t = x_full, 1.0
-            while norm(residual(x_try)) >= nr and t > 2.0**-24:
-                t *= 0.5
-                x_try = x + t * system.step
-            x = x_full if t <= 2.0**-24 else x_try
-        else:
-            x = x_full
+        x_try, t = x_full, 1.0
+        r_try = r_full = residual(x_full)
+        while damped and norm(r_try) >= nr and t > 2.0**-24:
+            t *= 0.5
+            x_try = x + t * system.step
+            r_try = residual(x_try)
+        # on underflow the step taken is the full one, with its residual
+        x, r = (x_full, r_full) if t <= 2.0**-24 else (x_try, r_try)
         out.iterates.append(x.copy())
-        r = residual(x)
         nr = norm(r)
         out.residuals.append(nr)
         if not np.isfinite(nr) or nr > blowup:

@@ -17,7 +17,9 @@ exponential.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -99,7 +101,7 @@ class LassoSpec:
     def objective(self, x) -> float:
         x = as_vector(x)
         r = self.a @ x - self.b
-        return 0.5 * float(r @ r) + self.alpha * float(np.sum(np.abs(x)))
+        return 0.5 * float(r @ r) + self.alpha * float(np.abs(x).sum())
 
     def to_json(self) -> dict:
         p = {
@@ -231,7 +233,7 @@ class HuberSpec:
         inside = ax <= self.gamma
         vals = np.where(inside, x * x / (2.0 * self.gamma), ax - self.gamma / 2.0)
         d = x - self.b
-        return self.alpha * float(np.sum(vals)) + 0.5 * float(d @ d)
+        return self.alpha * float(vals.sum()) + 0.5 * float(d @ d)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.alpha * np.clip(x / self.gamma, -1.0, 1.0) + (x - self.b)
@@ -487,7 +489,7 @@ def lasso_composite_smooth(spec: LassoSpec) -> CompositeProblem:
     a_op = LinearOperator(spec.a)
     lip = op_norm(a_op) ** 2
     smooth = SmoothFn(
-        value=lambda x: 0.5 * float(np.sum((spec.a @ x - spec.b) ** 2)),
+        value=lambda x: 0.5 * float(((spec.a @ x - spec.b) ** 2).sum()),
         gradient=lambda x: spec.a.T @ (spec.a @ x - spec.b),
         lipschitz=lip if lip > 0 else None,
     )
@@ -545,12 +547,7 @@ def huber_composite(spec: HuberSpec) -> CompositeProblem:
 
 # --- JSON ---------------------------------------------------------------------
 
-_SPEC_KINDS = {
-    "lasso": (LassoSpec, ("a", "b", "alpha", "x_true")),
-    "boxqp": (BoxQPSpec, ("q", "c", "lo", "hi")),
-    "control": (ControlSpec, ("s", "z", "alpha", "lo", "hi")),
-    "huber": (HuberSpec, ("b", "alpha", "gamma")),
-}
+_SPEC_KINDS = {"lasso": LassoSpec, "boxqp": BoxQPSpec, "control": ControlSpec, "huber": HuberSpec}
 
 
 def problem_to_json(spec) -> dict:
@@ -558,10 +555,21 @@ def problem_to_json(spec) -> dict:
 
 
 def problem_from_json(data: dict):
+    """The spec that data describes; ValueError, naming the problem kind, on
+    a document that is not an object, or on missing or non-numeric fields."""
+    if not isinstance(data, dict):
+        raise ValueError(f"problem JSON must be an object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in _SPEC_KINDS:
         raise ValueError(f"unknown problem kind: {kind}")
-    cls, fields = _SPEC_KINDS[kind]
     params = data.get("params", {})
-    kwargs = {k: params[k] for k in fields if k in params}
-    return cls(**kwargs)
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} problem: params must be an object")
+    fields = dataclasses.fields(_SPEC_KINDS[kind])
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"{kind} problem: missing field(s) {', '.join(missing)}")
+    for name in ("alpha", "gamma"):
+        if name in params and (isinstance(params[name], bool) or not isinstance(params[name], Real)):
+            raise ValueError(f"{kind} problem: {name} must be a number, got {params[name]!r}")
+    return _SPEC_KINDS[kind](**{f.name: params[f.name] for f in fields if f.name in params})

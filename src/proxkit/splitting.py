@@ -65,8 +65,7 @@ class SmoothFn:
         return float(self._value(as_vector(x)))
 
     def gradient(self, x) -> np.ndarray:
-        g = as_vector(self._gradient(as_vector(x)))
-        return g
+        return as_vector(self._gradient(as_vector(x)))
 
 
 @dataclass
@@ -142,23 +141,10 @@ class IterTrace:
         return self.iters[-1] if self.iters else 0
 
     def to_csv(self) -> str:
+        cols = (self.objective, self.residual, self.gap, self.step, self.ms)
         lines = [_CSV_HEADER]
-        for i in range(len(self.iters)):
-            lines.append(
-                ",".join(
-                    [str(self.iters[i])]
-                    + [
-                        _csv_num(col[i])
-                        for col in (
-                            self.objective,
-                            self.residual,
-                            self.gap,
-                            self.step,
-                            self.ms,
-                        )
-                    ]
-                )
-            )
+        for i, k in enumerate(self.iters):
+            lines.append(",".join([str(k)] + [_csv_num(col[i]) for col in cols]))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
@@ -192,19 +178,21 @@ class CompositeProblem:
         if self.g is not None:
             self.g._check(x if self.a is None else self.a.apply(x))
 
-    def _objective(self, x: np.ndarray) -> float:
-        """The objective at a vector that has already passed the checks."""
+    def _objective(self, x: np.ndarray, smooth_x=None, ax=None) -> float:
+        """The objective at a vector that has already passed the checks;
+        smooth_x = smooth(x) and ax = Ax stand in for their values if known."""
         total = 0.0
         if self.smooth is not None:
-            total += float(self.smooth._value(x))
+            total += float(self.smooth._value(x)) if smooth_x is None else smooth_x
         if self.f is not None:
             v = self.f._value(x)
             if v == math.inf:
                 return math.inf
             total += v
         if self.g is not None:
-            z = self.a.apply(x) if self.a is not None else x
-            v = self.g._value(z)
+            if ax is None:
+                ax = self.a.apply(x) if self.a is not None else x
+            v = self.g._value(ax)
             if v == math.inf:
                 return math.inf
             total += v
@@ -305,14 +293,16 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
 
 
 def _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k):
-    """Backtrack gamma until the quadratic upper bound holds at the new point."""
+    """Backtrack gamma until the quadratic upper bound holds at the new point;
+    returns (x_next, gamma, smooth(x_next))."""
     slack = 1e-12 * (1.0 + abs(fx))
     while True:
         x_next = g._prox(gamma, x - gamma * grad)
         d = x_next - x
         bound = fx + float(grad @ d) + float(d @ d) / (2.0 * gamma) + slack
-        if float(smooth._value(x_next)) <= bound:
-            return x_next, gamma
+        f_next = float(smooth._value(x_next))
+        if f_next <= bound:
+            return x_next, gamma, f_next
         gamma *= 0.5
         if gamma < 1e-18 * gamma0:
             raise RuntimeError(
@@ -333,24 +323,26 @@ def prox_gradient(
     With line_search=True the step is halved until the smooth part satisfies
     its quadratic upper bound at the trial point, and each iteration restarts
     from min(2*previous, initial).  Fixed-step mode needs gamma <= 1/L for
-    the descent guarantee.
+    the descent guarantee.  The line search's value of the smooth part at
+    the accepted point serves both the trace row and the next iteration.
     """
     smooth, g, gamma0, x = _gradient_start("prox_gradient", problem, x0, cfg)
 
     def step(s, k):
-        x, gamma = s
+        x, gamma, fx = s
         grad = smooth._gradient(x)
         if line_search:
             gamma = min(2.0 * gamma, gamma0)
-            fx = float(smooth._value(x))
-            x_next, gamma = _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k)
+            x_next, gamma, fx = _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k)
         else:
             x_next = g._prox(gamma, x - gamma * grad)
-        return (x_next, gamma), norm(x - x_next) / gamma, gamma
+        return (x_next, gamma, fx), norm(x - x_next) / gamma, gamma
 
-    (x, _), trace = _run(
-        cfg, (x, gamma0), step, _objective_row(problem), gamma0, x_ref
-    )
+    def row(s):
+        return s[0], problem._objective(s[0], s[2]), math.nan
+
+    fx = float(smooth._value(x)) if line_search else None
+    (x, _, _), trace = _run(cfg, (x, gamma0, fx), step, row, gamma0, x_ref)
     return x, trace
 
 
@@ -413,10 +405,9 @@ def douglas_rachford(problem: CompositeProblem, z0, cfg: SolverConfig):
     return y, trace
 
 
-def _pdhg_sweep(f: ProxFunctional, g: ProxFunctional, a, tau: float, sigma: float, x, y):
-    """One primal-dual sweep from (x, y), A = a or the identity when a is None;
-    returns (x_next, y_next)."""
-    aty = y if a is None else a.adjoint_apply(y)
+def _pdhg_sweep(f: ProxFunctional, g: ProxFunctional, a, tau: float, sigma: float, x, y, aty):
+    """One primal-dual sweep from (x, y) given aty = A'y, A = a or the
+    identity when a is None; returns (x_next, y_next)."""
     x_next = f._prox(tau, x - tau * aty)
     xbar = 2.0 * x_next - x
     axbar = xbar if a is None else a.apply(xbar)
@@ -432,6 +423,10 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
     before any work happens.  The dual prox comes from g's own prox through
     the Moreau identity.  Returns (x, y, trace); the trace gap column is the
     raw duality gap at (x^k, y^k).
+
+    An iteration makes 3 matvecs: A xbar in the sweep, then A'y^{k+1} and
+    A x^{k+1}.  The trace row's objective and gap share that A x, and the
+    row's A'y is the one the next sweep starts from.
     """
     _require(problem.f is not None, "primal_dual: problem.f is required")
     _require(problem.g is not None, "primal_dual: problem.g is required")
@@ -453,16 +448,22 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
         raise DimensionMismatchError(
             f"primal_dual: y0 of shape {y.shape} does not pair with x0 of shape {x.shape}"
         )
+    fc, gc = f.conjugate(), g.conjugate()
 
     def step(s, k):
-        x, y = s
-        x_next, y_next = _pdhg_sweep(f, g, a, tau, sigma, x, y)
-        return (x_next, y_next), norm(x - x_next) / tau + norm(y - y_next) / sigma, tau
+        x, y, aty = s
+        x_next, y_next = _pdhg_sweep(f, g, a, tau, sigma, x, y, aty)
+        aty = y_next if a is None else a.adjoint_apply(y_next)
+        res = norm(x - x_next) / tau + norm(y - y_next) / sigma
+        return (x_next, y_next, aty), res, tau
 
     def row(s):
-        return s[0], problem._objective(s[0]), _duality_gap(problem, *s)
+        x, y, aty = s
+        ax = x if a is None else a.apply(x)
+        gap = _duality_gap(f, g, fc, gc, x, y, ax, aty)
+        return x, problem._objective(x, ax=ax), gap
 
-    (x, y), trace = _run(cfg, (x, y), step, row, tau)
+    (x, y, _), trace = _run(cfg, (x, y, aty), step, row, tau)
     return x, y, trace
 
 
@@ -474,21 +475,23 @@ def duality_gap(problem: CompositeProblem, x, y) -> float:
     """
     _require(problem.f is not None, "duality_gap: problem.f is required")
     _require(problem.g is not None, "duality_gap: problem.g is required")
+    f, g, a = problem.f, problem.g, problem.a
     x = as_vector(x)
     y = as_vector(y)
     problem._check_point(x)
-    problem.f.conjugate()._check(y if problem.a is None else problem.a.adjoint_apply(y))
-    problem.g.conjugate()._check(y)
-    return _duality_gap(problem, x, y)
-
-
-def _duality_gap(problem: CompositeProblem, x: np.ndarray, y: np.ndarray) -> float:
-    """The duality gap at a pair that has already passed the checks."""
-    a = problem.a
-    ax = x if a is None else a.apply(x)
     aty = y if a is None else a.adjoint_apply(y)
-    primal = problem.f._value(x) + problem.g._value(ax)
-    dual = -problem.f.conjugate()._value(-aty) - problem.g.conjugate()._value(y)
+    fc = f.conjugate()
+    fc._check(aty)
+    gc = g.conjugate()
+    gc._check(y)
+    return _duality_gap(f, g, fc, gc, x, y, x if a is None else a.apply(x), aty)
+
+
+def _duality_gap(f, g, fc, gc, x, y, ax, aty) -> float:
+    """The duality gap at a pair that has already passed the checks, given
+    the conjugates fc = f*, gc = g* and the products ax = Ax, aty = A'y."""
+    primal = f._value(x) + g._value(ax)
+    dual = -fc._value(-aty) - gc._value(y)
     return primal - dual
 
 
@@ -517,7 +520,7 @@ def dr_as_pdhg_check(
     def step(s, k):
         z, x, y = s
         z_next = _dr_sweep(f, g, gamma, z)[2]
-        x_next, y_next = _pdhg_sweep(f, g, None, gamma, sigma, x, y)
+        x_next, y_next = _pdhg_sweep(f, g, None, gamma, sigma, x, y, y)
         res = norm(z_next - z) + norm(x_next - x) + norm(y_next - y)
         return (z_next, x_next, y_next), res, gamma
 

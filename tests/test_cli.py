@@ -236,3 +236,47 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "proxkit" in proc.stdout
+
+
+# --- exit codes --------------------------------------------------------------------
+
+
+def test_bench_exits_3_when_a_solver_does_not_converge(capsys):
+    code, out, _ = run_main(
+        ["bench", "--problem", "lasso", "--n", "20", "--max-iter", "3"], capsys
+    )
+    assert code == 3
+    assert " NO " in out and "fista" in out
+
+
+def _solve_file(tmp_path, capsys, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return run_main(["solve", "--solver", "pg", "--problem-file", str(path)], capsys)
+
+
+def _assert_one_line_error(code, err, *fragments):
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_problem_file_with_a_list_at_top_level_exits_2(tmp_path, capsys):
+    code, _, err = _solve_file(tmp_path, capsys, [{"kind": "lasso"}])
+    _assert_one_line_error(code, err, "problem JSON must be an object", "list")
+
+
+def test_boxqp_file_with_missing_fields_exits_2(tmp_path, capsys):
+    doc = {"kind": "boxqp", "params": {"q": [[2.0, 0.0], [0.0, 1.0]], "c": [1.0, -1.0]}}
+    code, _, err = _solve_file(tmp_path, capsys, doc)
+    _assert_one_line_error(code, err, "boxqp problem", "missing", "lo", "hi")
+
+
+def test_string_alpha_exits_2(tmp_path, capsys):
+    code, out, _ = run_main(["gen", "--problem", "lasso", "--n", "4", "--seed", "2"], capsys)
+    doc = json.loads(out)
+    doc["params"]["alpha"] = "0.5"
+    code, _, err = _solve_file(tmp_path, capsys, doc)
+    _assert_one_line_error(code, err, "lasso problem", "alpha", "'0.5'")

@@ -633,3 +633,27 @@ def test_clarke_interval_validation():
             breakpoints=[0.0],
             owners=[0, 0, 0],
         )
+
+
+# --- memoized conjugates -------------------------------------------------------------
+
+
+def test_conjugate_is_built_once_and_equals_a_fresh_build():
+    from proxkit.functionals import ProxFunctional, conjugate
+
+    n = 5
+    menagerie = catalog_menagerie(np.random.default_rng(31), n)
+    fresh = dict(catalog_menagerie(np.random.default_rng(31), n))
+    kinds = {cls.kind for cls in ProxFunctional.__subclasses__()}
+    assert {f.kind for _, f in menagerie} == kinds  # every catalog kind is covered
+    rng = np.random.default_rng(32)
+    for name, f in menagerie:
+        conj = f.conjugate()
+        assert f.conjugate() is conj and conjugate(f) is conj, name
+        ref = fresh[name].conjugate()  # built on its own first call
+        assert ref is not conj and type(ref) is type(conj), name
+        for _ in range(5):
+            x = 2.0 * rng.standard_normal(n)
+            assert np.float64(conj._value(x)).tobytes() == np.float64(ref._value(x)).tobytes()
+            for gamma in (0.3, 1.0, 4.0):
+                assert conj._prox(gamma, x).tobytes() == ref._prox(gamma, x).tobytes(), name

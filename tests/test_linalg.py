@@ -155,3 +155,35 @@ def test_solve_spd_dimension_guard():
 def test_vector_json_roundtrip():
     x = np.array([1.5, -2.25, 0.0])
     npt.assert_array_equal(vector_from_json(vector_to_json(x)), x)
+
+
+# --- norm without numpy's wrapper ----------------------------------------------------
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(21)
+    mat = rng.standard_normal((7, 5)) * 10.0 ** rng.integers(-100, 100, size=(7, 5))
+    cases = [rng.standard_normal(n) for n in (1, 2, 3, 17, 100, 1001)]
+    cases += [
+        np.zeros(6), np.array([-0.0]), np.array([-0.0, 0.0]), np.array([1e-200, 3e-200]),
+        [3.0, 4.0], [1, 2, 2], 2.5,
+        mat, np.asfortranarray(mat), mat.T, mat[::2, ::-1],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in cases:
+            assert np.float64(norm(x)).tobytes() == np.float64(np.linalg.norm(x)).tobytes()
+            assert type(norm(x)) is float
+
+
+def test_norm_overflows_to_inf_like_numpy_norm():
+    big = np.array([1e200, -1e200, 3.0])
+    # whatever numpy's own norm warns about the overflow in its dot, so
+    # does this one, and both return inf
+    caught = []
+    for fn in (norm, np.linalg.norm):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert fn(big) == np.inf
+        caught.append([(w.category, str(w.message)) for w in seen])
+    assert caught[0] == caught[1]

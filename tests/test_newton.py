@@ -313,3 +313,37 @@ def test_superlinear_diagnostic_keeps_first_floor_entry():
     errors, ratios = superlinear_diagnostic(its, ref)
     assert len(errors) == 3
     assert ratios[-1] <= 1e-16
+
+
+# --- one residual per trial point ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "factor, damped, trials",
+    [
+        (-2.5, True, 2),  # the full step overshoots; the half step is accepted
+        (1.0, True, 25),  # no trial decreases: halving underflows, the full step is taken
+        (-2.5, False, 1),
+    ],
+)
+def test_ssn_solve_evaluates_the_residual_once_per_trial(factor, damped, trials):
+    seen = []
+
+    def residual(x):
+        seen.append(x.copy())
+        return x.copy()
+
+    def step(x, r):
+        return _toy_system(x, factor * x)
+
+    x0 = np.array([1.0, -2.0, 0.5])
+    res = ssn_solve(residual, step, x0, tol=1e-300, max_iter=3, damped=damped)
+    assert res.n_iter == 3 and not res.converged and not res.diverged
+    assert len(seen) == 1 + 3 * trials
+    for k in range(3):
+        group = seen[1 + k * trials : 1 + (k + 1) * trials]
+        # every trial point is new, and the step taken is one of them
+        assert len({p.tobytes() for p in group}) == trials
+        taken = group[0] if trials == 25 else group[-1]
+        assert res.iterates[k + 1].tobytes() == taken.tobytes()
+        assert res.residuals[k + 1] == np.linalg.norm(taken)

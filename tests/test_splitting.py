@@ -537,3 +537,100 @@ def test_solver_and_dr_as_pdhg_check_run_the_same_sweep(sweep, monkeypatch):
     bent_rows, bent_deviation = run()
     assert bent_rows[:2] == rows[:2] and bent_rows[2:] != rows[2:]  # header, row 0
     assert bent_deviation > 1e-4
+
+
+# --- each per-iteration quantity computed once -------------------------------------------
+
+
+def test_primal_dual_makes_three_matvecs_per_iteration(monkeypatch):
+    counts = {"apply": 0, "adjoint_apply": 0}
+    for name in counts:
+        real = getattr(LinearOperator, name)
+
+        def counted(self, v, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(self, v)
+
+        monkeypatch.setattr(LinearOperator, name, counted)
+    spec = gen_lasso(12, 18, seed=2)
+    prob = lasso_composite_split(spec)
+    step = 0.9 / op_norm(prob.a)
+    cfg = SolverConfig(tau=step, sigma=step, tol=1e-9, max_iter=5000)
+    _, _, trace = primal_dual(prob, np.zeros(12), np.zeros(18), cfg)
+    k = trace.n_iter
+    assert trace.converged and k > 20
+    # entry checks: A x0 for g's dimension and A'y0 for the pairing; that
+    # A'y0 feeds row 0 and the first sweep.  Then per iteration A xbar, A'y
+    # and A x, with one more A x for row 0.
+    assert counts["adjoint_apply"] == 1 + k
+    assert counts["apply"] == 1 + 1 + 2 * k
+    assert sum(counts.values()) == 3 * k + 3
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _pdhg_case(kind):
+    """(builder of fresh functionals, x0, y0, step) for a primal-dual run."""
+    if kind == "lasso":
+        spec = gen_lasso(8, 12, seed=6)
+
+        def build():
+            return lasso_composite_split(spec)
+
+        return build, np.zeros(8), np.zeros(12), 0.9 / op_norm(build().a)
+    qp = gen_boxqp(6, seed=3)
+
+    def build():
+        return CompositeProblem(f=BoxIndicator(qp.lo, qp.hi), g=Quadratic(qp.q, qp.c))
+
+    return build, np.zeros(6), np.zeros(6), 0.9
+
+
+@pytest.mark.parametrize("kind", ["lasso", "boxqp"])
+def test_every_primal_dual_row_gap_is_the_public_gap_on_fresh_functionals(kind):
+    build, x0, y0, step = _pdhg_case(kind)
+    prob = build()
+    _, _, full = primal_dual(prob, x0, y0, SolverConfig(tau=step, sigma=step, max_iter=25))
+    assert len(full) == 26
+    assert _bits(full.gap[0]) == _bits(duality_gap(build(), x0, y0))
+    for k in range(1, 26):
+        # a run stopped at iteration k ends on the pair (x^k, y^k) of row k
+        x, y, trace = primal_dual(prob, x0, y0, SolverConfig(tau=step, sigma=step, max_iter=k))
+        assert trace.gap == full.gap[: k + 1]
+        assert _bits(trace.gap[k]) == _bits(duality_gap(build(), x, y))
+
+
+@pytest.mark.parametrize("line_search", [True, False])
+def test_prox_gradient_evaluates_the_smooth_part_once_per_point(line_search, monkeypatch):
+    spec = gen_lasso(10, 15, seed=5)
+    base = lasso_composite_smooth(spec)
+    calls = {"value": 0, "prox": 0}
+
+    def value(x):
+        calls["value"] += 1
+        return base.smooth._value(x)
+
+    real_prox = base.g._prox
+
+    def prox(gamma, x):
+        calls["prox"] += 1
+        return real_prox(gamma, x)
+
+    monkeypatch.setattr(base.g, "_prox", prox)
+    smooth = SmoothFn(value, base.smooth._gradient, base.smooth.lipschitz)
+    prob = CompositeProblem(smooth=smooth, g=base.g)
+    # a long first step makes the line search backtrack
+    gamma = (8.0 if line_search else 1.0) / base.smooth.lipschitz
+    cfg = SolverConfig(gamma=gamma, tol=1e-9, max_iter=200)
+    _, trace = prox_gradient(prob, np.zeros(10), cfg, line_search=line_search)
+    assert trace.n_iter > 20
+    if line_search:
+        # one value per line-search trial (one prox each), plus one at entry
+        assert calls["prox"] > trace.n_iter
+        assert calls["value"] == calls["prox"] + 1
+    else:
+        # one value per trace row, each at a new iterate
+        assert calls["prox"] == trace.n_iter
+        assert calls["value"] == len(trace)
