@@ -233,15 +233,14 @@ def _smooth_composite(spec) -> CompositeProblem:
     return {
         "lasso": problems.lasso_composite_smooth,
         "boxqp": problems.boxqp_composite,
-        "control": problems.control_composite,
         "huber": problems.huber_composite,
     }[_kind_of(spec)](spec)
 
 
 def _run_solver(spec, solver: str, args, smooth=None):
-    """Dispatch (spec, solver) to a configured run; UsageError before any work
-    when the pairing makes no sense.  smooth, when given, is the instance's
-    _smooth_composite, built once and shared by the gradient methods."""
+    """Dispatch (spec, solver) to a configured run, a control spec given as its
+    control_as_boxqp; UsageError before any work when the pairing makes no
+    sense.  smooth, when given, is the instance's _smooth_composite."""
     kind = _kind_of(spec)
     n = spec.n
     x0 = np.zeros(n)
@@ -261,7 +260,6 @@ def _run_solver(spec, solver: str, args, smooth=None):
         comp = {
             "lasso": problems.lasso_dr_pair,
             "boxqp": problems.boxqp_dr_pair,
-            "control": lambda s: problems.boxqp_dr_pair(problems.control_as_boxqp(s)),
         }[kind](spec)
         gamma = 1.0 if args.gamma is None else args.gamma
         cfg = SolverConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
@@ -275,9 +273,8 @@ def _run_solver(spec, solver: str, args, smooth=None):
         anorm = op_norm(comp.a)
     else:
         # box side as f so the returned primal iterate is feasible
-        qp = spec if kind == "boxqp" else problems.control_as_boxqp(spec)
         comp = CompositeProblem(
-            f=BoxIndicator(qp.lo, qp.hi), g=Quadratic(qp.q, qp.c)
+            f=BoxIndicator(spec.lo, spec.hi), g=Quadratic(spec.q, spec.c)
         )
         y0 = np.zeros(n)
         anorm = 1.0
@@ -290,9 +287,10 @@ def _run_solver(spec, solver: str, args, smooth=None):
 
 def cmd_solve(args) -> int:
     spec, source = _load_spec(args)
+    form = problems.control_as_boxqp(spec) if _kind_of(spec) == "control" else spec
     # a diverging run overflows on its way out; the trace reports that instead
     with np.errstate(over="ignore", invalid="ignore"):
-        x, trace = _run_solver(spec, args.solver, args)
+        x, trace = _run_solver(form, args.solver, args)
     if trace.diverged:
         print(
             f"{args.solver} on {_kind_of(spec)} n={spec.n}: diverged at iteration "
@@ -300,7 +298,7 @@ def cmd_solve(args) -> int:
         )
         return 3
     obj = spec.objective(x)
-    kkt = problems.kkt_residual(spec, x)
+    kkt = problems.kkt_residual(form, x)
     status = "converged" if trace.converged else "did not converge"
     print(
         f"{args.solver} on {_kind_of(spec)} n={spec.n}: {status} "
@@ -509,23 +507,24 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = _generate(args.problem, args.n, args.m, args.seed)
+    form = problems.control_as_boxqp(spec) if args.problem == "control" else spec
     solvers = [s for s in SOLVERS if not (args.problem == "huber" and s in ("dr", "pdhg"))]
     rows = []
     tmp = out = None
     if args.out is not None:
         tmp, out = _stage_out_dir(args.out)
     ns = argparse.Namespace(**vars(args), gamma=None, tau=None, sigma=None)
-    smooth = _smooth_composite(spec)
+    smooth = _smooth_composite(form)
     for solver in solvers:
         with np.errstate(over="ignore", invalid="ignore"):
-            x, trace = _run_solver(spec, solver, ns, smooth)
+            x, trace = _run_solver(form, solver, ns, smooth)
             rows.append(
                 (
                     solver,
                     trace.n_iter,
                     "DIV" if trace.diverged else "yes" if trace.converged else "NO",
                     spec.objective(x),
-                    problems.kkt_residual(spec, x),
+                    problems.kkt_residual(form, x),
                     trace.ms[-1] if trace.ms else 0.0,
                 )
             )

@@ -7,15 +7,22 @@ pinned coordinates take their residual value directly (landing exactly on a
 bound or exactly at zero after the update), and only the free block goes to
 the SPD solver.  Dense Hessian blocks throughout; sized for N up to a few
 hundred.
+
+``ssn_solve`` runs one damped Newton step as a kernel on the splitting
+solvers' shared loop, ``splitting._run``.  A residual past 1e6 times its
+start, or a non-finite one, ends a run diverged at the last finite
+iterate; the blown-up row is not recorded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import as_vector, norm, solve_spd
+from .splitting import SolverConfig, _run
 
 __all__ = [
     "NewtonDerivativeMask",
@@ -73,13 +80,10 @@ class NewtonSystem:
 
     The full system is diag(pinned) s + diag(active) (B s) = rhs; pinned
     rows give s_i = rhs_i directly, and the active block solves
-    B_aa s_a = rhs_a - B_ap s_p.  matrix and reduced_rhs are that block;
-    step is the assembled full-dimension step.
+    B_aa s_a = rhs_a - B_ap s_p.  step is the assembled full-dimension step.
     """
 
     mask: NewtonDerivativeMask
-    matrix: np.ndarray
-    reduced_rhs: np.ndarray
     step: np.ndarray
 
 
@@ -89,15 +93,11 @@ def _masked_step(B: np.ndarray, mask: NewtonDerivativeMask, rhs: np.ndarray) -> 
     s = np.empty_like(rhs)
     s[pin] = rhs[pin]
     if act.any():
-        Baa = B[np.ix_(act, act)]
         r = rhs[act].copy()
         if pin.any():
             r -= B[np.ix_(act, pin)] @ s[pin]
-        s[act] = solve_spd(Baa, r)
-    else:
-        Baa = np.zeros((0, 0))
-        r = np.zeros(0)
-    return NewtonSystem(mask, Baa, r, s)
+        s[act] = solve_spd(B[np.ix_(act, act)], r)
+    return NewtonSystem(mask, s)
 
 
 @dataclass
@@ -115,50 +115,46 @@ class NewtonResult:
 
 def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
               damped: bool = True) -> NewtonResult:
-    """Generic semismooth Newton loop x <- x + t * step(x, Phi(x)).
+    """Generic semismooth Newton iteration x <- x + t * step(x, Phi(x)).
 
     residual maps x to Phi(x); step maps (x, Phi(x)) to a NewtonSystem.
-    Stops when ||Phi(x)|| <= tol.  With damped=True the step is halved
-    until the residual norm decreases; the full step is always tried first,
-    so the exact one-step behavior on a correctly identified piece is
-    preserved, while the backtracking breaks the mask cycles that undamped
-    active-set Newton is prone to.  On a residual that blows up past 1e6
-    times its starting value (or stops being finite) the result is marked
-    diverged instead of raising, so outer drivers can react.
+    Runs on the shared loop ``splitting._run`` (SolverConfig checks tol and
+    max_iter >= 1) and stops when ||Phi(x)|| <= tol, at x0 included.  With
+    damped=True the step is halved until the residual norm decreases; the
+    full step is always tried first, so the exact one-step behavior on a
+    correctly identified piece is preserved, while the backtracking breaks
+    the mask cycles that undamped active-set Newton is prone to; if halving
+    underflows, the full step is taken.  A residual that blows up past 1e6
+    times its starting value (or stops being finite) marks the result
+    diverged instead of raising, so outer drivers can react; x is then the
+    last finite iterate and the blown-up row is not recorded.
     """
-    if not (tol > 0):
-        raise ValueError("ssn_solve: tol must be positive")
+    cfg = SolverConfig(tol=tol, max_iter=max_iter, store_iterates=True)
     x = as_vector(x0).copy()
-    out = NewtonResult(x)
-    out.iterates.append(x.copy())
     r = residual(x)
     nr = norm(r)
-    out.residuals.append(nr)
     blowup = _DIVERGE_FACTOR * max(nr, tol)
-    for _ in range(max_iter):
-        if nr <= tol:
-            out.converged = True
-            break
-        system = step(x, r)
-        x_full = x + system.step
+
+    def newton_step(state, k):
+        x, r, nr = state
+        d = step(x, r).step
+        x_full = x + d
         x_try, t = x_full, 1.0
         r_try = r_full = residual(x_full)
         while damped and norm(r_try) >= nr and t > 2.0**-24:
             t *= 0.5
-            x_try = x + t * system.step
+            x_try = x + t * d
             r_try = residual(x_try)
-        # on underflow the step taken is the full one, with its residual
-        x, r = (x_full, r_full) if t <= 2.0**-24 else (x_try, r_try)
-        out.iterates.append(x.copy())
-        nr = norm(r)
-        out.residuals.append(nr)
-        if not np.isfinite(nr) or nr > blowup:
-            out.diverged = True
-            break
-    else:
-        out.converged = nr <= tol
-    out.x = x
-    return out
+        if t <= 2.0**-24:
+            x_try, r_try, t = x_full, r_full, 1.0
+        nr = norm(r_try)
+        # the loop reads an infinite residual as divergence
+        return (x_try, r_try, nr), math.inf if nr > blowup else nr, t
+
+    (x, _, _), trace = _run(
+        cfg, (x, r, nr), newton_step, lambda s: (s[0], math.nan, math.nan), 1.0, res=nr
+    )
+    return NewtonResult(x, trace.residual, trace.iterates, trace.converged, trace.diverged)
 
 
 def scaled_soft_threshold(t, gamma: float):

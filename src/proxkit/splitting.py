@@ -11,8 +11,9 @@ checked finite, each functional's dimension is checked against it, a smooth
 term's gradient at the start point must have the iterate's shape, and step
 sizes become floats.  Each solver then supplies a step kernel to one shared
 loop, ``_run``, which owns trace rows (row 0 included) and their wall
-clock, the Fejer distances and stored iterates, and both stopping rules.
-The kernels run on raw arrays, calling the functionals' ``_prox``/``_value``
+clock, the Fejer distances and stored iterates, and both stopping rules;
+the semismooth Newton driver, ``newton.ssn_solve``, runs on it too.  The
+kernels run on raw arrays, calling the functionals' ``_prox``/``_value``
 and the smooth term's own callables; Douglas-Rachford and the primal-dual
 method each keep their sweep in one function, which ``dr_as_pdhg_check``
 runs too.  Finiteness costs one test per step: a non-finite residual, which
@@ -107,10 +108,11 @@ class IterTrace:
     """Per-iteration record: row k describes the state at iterate x^k.
 
     residual is the solver's fixed-point residual norm measured on arrival
-    at x^k (inf at row 0), gap is a duality gap when the solver produces a
-    certificate and NaN otherwise, step is the step size used to reach the
-    row, ms is wall time since the solve started.  diverged is set when the
-    residual came out non-finite; that row is not recorded.
+    at x^k (at row 0 inf, or Newton's ||Phi(x^0)||), gap is a duality gap
+    when the solver produces a certificate and NaN otherwise, step is the
+    step size used to reach the row, ms is wall time since the solve
+    started.  diverged is set when the residual came out non-finite; that
+    row is not recorded.
     """
 
     iters: list[int] = field(default_factory=list)
@@ -231,17 +233,18 @@ def _gradient_start(name: str, problem: CompositeProblem, x0, cfg: SolverConfig)
     return problem.smooth, problem.g, float(gamma), _start(problem, x0)
 
 
-def _run(cfg: SolverConfig, state, step, row, size: float, ref=None):
-    """The loop every splitting solver runs; returns (state, trace).
+def _run(cfg: SolverConfig, state, step, row, size: float, ref=None, res=math.inf):
+    """The loop of every splitting solver and of ssn_solve; returns (state, trace).
 
     step(state, k) returns (next state, residual, step size) for iteration
     k >= 1, and row(state) returns (iterate, objective, gap) for the trace.
-    Row 0 records the start with an infinite residual and step size
-    ``size``.  A non-finite residual ends the run with ``trace.diverged``
-    set, keeping the previous state and recording no row; a residual of at
-    most cfg.tol ends it with ``trace.converged`` set.  With ref given the
-    trace keeps ||x^k - ref|| in ``fejer``; with cfg.store_iterates it keeps
-    a copy of every x^k.
+    Row 0 records the start with residual ``res`` (infinite unless the
+    caller measured one) and step size ``size``.  A non-finite residual
+    ends the run with ``trace.diverged`` set, keeping the previous state and
+    recording no row; a residual of at most cfg.tol, row 0's included, ends
+    it with ``trace.converged`` set.  With ref given the trace keeps
+    ||x^k - ref|| in ``fejer``; with cfg.store_iterates it keeps a copy of
+    every x^k.
     """
     trace = IterTrace()
     if ref is not None:
@@ -250,7 +253,6 @@ def _run(cfg: SolverConfig, state, step, row, size: float, ref=None):
     if cfg.store_iterates:
         trace.iterates = []
     t0 = time.perf_counter()
-    res = math.inf
     for k in range(cfg.max_iter + 1):
         if k:
             next_state, res, size = step(state, k)

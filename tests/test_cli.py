@@ -225,6 +225,28 @@ def test_bench_huber_skips_two_prox_solvers(capsys):
     assert "fista" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--problem", "control", "--n", "6", "--tol", "1e-9"],
+        ["solve", "--solver", "pdhg", "--problem", "control", "--n", "6", "--tol", "1e-9"],
+    ],
+)
+def test_control_converts_to_its_box_qp_once_per_command(argv, capsys, monkeypatch):
+    from proxkit import problems
+
+    real = problems.control_as_boxqp
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(problems, "control_as_boxqp", counted)
+    assert run_main(argv, capsys)[0] == 0
+    assert len(calls) == 1
+
+
 # --- process-level entry point -----------------------------------------------------
 
 

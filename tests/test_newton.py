@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import proxkit.newton as newton
 from proxkit.newton import (
     ContinuationSchedule,
     NewtonSystem,
@@ -126,7 +127,7 @@ def test_l1_ssn_damping_handles_small_gamma():
 
 def _toy_system(x, delta):
     m = NewtonDerivativeMask(np.ones_like(x, dtype=bool))
-    return NewtonSystem(m, np.eye(x.size), delta.copy(), delta)
+    return NewtonSystem(m, delta)
 
 
 
@@ -347,3 +348,147 @@ def test_ssn_solve_evaluates_the_residual_once_per_trial(factor, damped, trials)
         taken = group[0] if trials == 25 else group[-1]
         assert res.iterates[k + 1].tobytes() == taken.tobytes()
         assert res.residuals[k + 1] == np.linalg.norm(taken)
+
+
+# --- the shared loop reproduces the plain Newton iteration ----------------------------
+
+
+def _reference_ssn(residual, step, x0, tol=1e-10, max_iter=50, damped=True):
+    """A bare damped/undamped semismooth Newton loop, the reference ssn_solve
+    must reproduce bit for bit; returns (x, residuals, iterates, converged)."""
+    x = np.array(x0, dtype=float)
+    r = residual(x)
+    nr = np.linalg.norm(r)
+    residuals, iterates = [nr], [x.copy()]
+    for _ in range(max_iter):
+        if nr <= tol:
+            break
+        d = step(x, r).step
+        x_full = x + d
+        x_try, t = x_full, 1.0
+        r_try = r_full = residual(x_full)
+        while damped and np.linalg.norm(r_try) >= nr and t > 2.0**-24:
+            t *= 0.5
+            x_try = x + t * d
+            r_try = residual(x_try)
+        x, r = (x_full, r_full) if t <= 2.0**-24 else (x_try, r_try)
+        nr = np.linalg.norm(r)
+        residuals.append(nr)
+        iterates.append(x.copy())
+        assert np.isfinite(nr) and nr <= 1e6 * max(residuals[0], tol)
+    return x, residuals, iterates, nr <= tol
+
+
+def _assert_matches_reference(res, ref):
+    x, residuals, iterates, converged = ref
+    assert res.residuals == residuals
+    assert [v.tobytes() for v in res.iterates] == [v.tobytes() for v in iterates]
+    assert res.x.tobytes() == x.tobytes()
+    assert res.converged == converged and not res.diverged
+
+
+@pytest.fixture
+def against_reference(monkeypatch):
+    """Route every ssn_solve call through both ssn_solve and the reference loop
+    and check that they agree; returns the results so far."""
+    real = newton.ssn_solve
+    calls = []
+
+    def both(residual, step, x0, **kwargs):
+        res = real(residual, step, x0, **kwargs)
+        _assert_matches_reference(res, _reference_ssn(residual, step, x0, **kwargs))
+        calls.append(res)
+        return res
+
+    monkeypatch.setattr(newton, "ssn_solve", both)
+    return calls
+
+
+def test_l1_and_control_ssn_reproduce_the_plain_loop(against_reference):
+    for seed in range(8):
+        spec = gen_lasso(6, 18, seed=seed)
+        grad, hess = _lasso_pieces(spec)
+        gamma = 1.0 / np.linalg.norm(spec.a, 2) ** 2
+        for damped in (True, False):
+            l1_ssn(grad, hess, spec.alpha, gamma, np.zeros(6), tol=1e-11, damped=damped)
+        l1_ssn(grad, hess, spec.alpha, 1.0, np.zeros(6), tol=1e-12)
+    for seed in range(5):
+        spec = gen_control(6, 12, seed=seed)
+        for alpha in (spec.alpha, 1e-3):
+            control_ssn(spec.s, spec.z, alpha, spec.lo, spec.hi, tol=1e-12)
+    assert len(against_reference) == 8 * 3 + 5 * 2
+    assert any(not r.converged for r in against_reference)  # undamped cycles too
+
+
+def test_moreau_yosida_continuation_reproduces_the_plain_loop(against_reference):
+    spec = gen_lasso(8, 24, seed=4)
+    h = spec.a.T @ spec.a
+    atb = spec.a.T @ spec.b
+
+    def solve_at(gamma, u0):
+        return moreau_yosida_ssn(
+            lambda u: (h @ u - atb) / spec.alpha, lambda u: h / spec.alpha, gamma, u0, tol=1e-12
+        )
+
+    continuation(solve_at, ContinuationSchedule(), np.zeros(spec.n))
+    assert len(against_reference) == 11
+
+
+@pytest.mark.parametrize("factor, damped", [(1.0, True), (-2.5, True), (-2.5, False)])
+def test_ssn_solve_reproduces_the_plain_loop_on_halving_and_underflow(factor, damped):
+    # factor 1.0: no trial decreases the residual, halving underflows and the
+    # full step is taken; -2.5: the full step overshoots and a half step wins
+    def residual(x):
+        return x.copy()
+
+    def step(x, r):
+        return _toy_system(x, factor * x)
+
+    x0 = np.array([1.0, -2.0, 0.5])
+    kwargs = dict(tol=1e-300, max_iter=6, damped=damped)
+    res = ssn_solve(residual, step, x0, **kwargs)
+    _assert_matches_reference(res, _reference_ssn(residual, step, x0, **kwargs))
+    assert res.n_iter == 6
+
+
+# --- edges of the shared loop ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("blowup", [True, False])
+def test_ssn_solve_divergence_keeps_the_last_finite_iterate(blowup):
+    def residual(x):
+        return x * 4.0
+
+    def step(x, r):
+        return _toy_system(x, x * 3.0 if blowup else np.full_like(x, np.nan))
+
+    res = ssn_solve(residual, step, np.ones(3), tol=1e-10, max_iter=60, damped=False)
+    assert res.diverged and not res.converged
+    assert all(np.isfinite(res.residuals))
+    assert res.x.tobytes() == res.iterates[-1].tobytes()
+    assert len(res.iterates) == len(res.residuals)
+    if blowup:
+        # 4^k times the start residual passes the 1e6 bound at k = 10
+        assert res.n_iter == 9
+        npt.assert_array_equal(res.x, np.full(3, 4.0**9))
+        assert max(res.residuals) <= 1e6 * res.residuals[0]
+    else:
+        assert res.n_iter == 0
+        npt.assert_array_equal(res.x, np.ones(3))
+
+
+def test_ssn_solve_stops_at_a_start_that_meets_tol():
+    def step(x, r):
+        raise AssertionError("no step is taken from a converged start")
+
+    x0 = np.full(2, 1e-12)
+    res = ssn_solve(lambda x: x * 0.5, step, x0, tol=1e-10, max_iter=10)
+    assert res.converged and not res.diverged
+    assert res.n_iter == 0
+    assert res.residuals == [np.linalg.norm(x0 * 0.5)]
+    npt.assert_array_equal(res.x, x0)
+
+
+def test_ssn_solve_rejects_max_iter_zero():
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        ssn_solve(lambda x: x, lambda x, r: _toy_system(x, -x), np.ones(2), max_iter=0)
