@@ -2,9 +2,9 @@
 
 Everything downstream works in plain Euclidean coordinates: vectors are 1-d
 numpy arrays, operators are dense matrices with explicit adjoints.  This
-module adds the two pieces of numerical plumbing the solvers need, a seeded
-power iteration for operator norms and a conjugate-gradient solve for
-symmetric positive definite Newton systems.
+module adds the two pieces of dense linear algebra the solvers need: the
+exact spectral norm of an operator, and a direct solve for symmetric
+positive definite Newton systems that rejects what it cannot certify.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "NegativeCurvatureError",
+    "SPDSolveError",
     "as_vector",
     "inner",
     "norm",
@@ -32,16 +32,9 @@ class DimensionMismatchError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-class NegativeCurvatureError(RuntimeError):
-    """CG met a direction of nonpositive curvature; the matrix is not SPD."""
-
-    def __init__(self, iteration: int, curvature: float):
-        self.iteration = iteration
-        self.curvature = curvature
-        super().__init__(
-            f"negative curvature {curvature:.6g} at CG iteration {iteration}: "
-            "matrix is not symmetric positive definite"
-        )
+class SPDSolveError(np.linalg.LinAlgError):
+    """solve_spd could not produce a certified solution: the matrix is
+    singular, too ill-conditioned for the tolerance, or not positive definite."""
 
 
 def as_vector(x) -> np.ndarray:
@@ -75,11 +68,10 @@ def norm(x) -> float:
 
 
 class LinearOperator:
-    """Dense matrix with adjoint application and a cached norm estimate.
+    """Dense matrix with adjoint application and a cached spectral norm.
 
     Immutable after construction except the norm cache, which is only ever
-    set to the same value for the same (tol-dominated) request, so concurrent
-    reads/updates are idempotent.
+    set to the same value, so concurrent reads/updates are idempotent.
     """
 
     def __init__(self, matrix):
@@ -136,56 +128,25 @@ def identity(n: int) -> LinearOperator:
     return LinearOperator(np.eye(n))
 
 
-def op_norm(A: LinearOperator, tol: float = 1e-10, max_iter: int = 5000) -> float:
-    """Largest singular value of A, by power iteration on A*A.
+def op_norm(A: LinearOperator) -> float:
+    """Largest singular value of A, from a dense SVD (np.linalg.norm(., 2)).
 
-    The start vector is drawn from a fixed seed so repeated runs give the
-    same estimate.  The result is cached on the operator.  Iteration stops
-    once the relative change drops below tol, or after max_iter sweeps with
-    the last estimate; no flag records which.  Power iteration approaches
-    the norm from below, so the estimate can sit slightly under it: about
-    1e-12 to 1e-9 relative on generic matrices, and up to the relative gap
-    between the top two singular values when they nearly coincide.
+    Accurate to rounding, unlike an iterative estimate that approaches the
+    norm from below, so step-size gates and 1/L steps rest on the true norm.
+    The result is cached on the operator.
     """
-    if tol <= 0:
-        raise ValueError("op_norm: tol must be positive")
-    if A.cached_norm_estimate is not None:
-        return A.cached_norm_estimate
-
-    M = A.matrix
-    if not M.any():
-        A.cached_norm_estimate = 0.0
-        return 0.0
-
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(A.n_in)
-    v /= norm(v)
-    est_prev = 0.0
-    est = 0.0
-    for _ in range(max_iter):
-        w = M.T @ (M @ v)
-        nw = norm(w)
-        if nw == 0.0:
-            # v landed in the null space; restart deterministically
-            v = rng.standard_normal(A.n_in)
-            v /= norm(v)
-            continue
-        est = math.sqrt(nw)  # ||A*A v||^(1/2) -> sigma_max as v aligns
-        v = w / nw
-        if est_prev > 0 and abs(est - est_prev) <= tol * est:
-            break
-        est_prev = est
-    A.cached_norm_estimate = float(est)
-    return float(est)
+    if A.cached_norm_estimate is None:
+        A.cached_norm_estimate = float(np.linalg.norm(A.matrix, 2))
+    return A.cached_norm_estimate
 
 
-def solve_spd(M, b, tol: float = 1e-12, max_iter: int | None = None) -> np.ndarray:
-    """Solve M s = b for symmetric positive definite M by conjugate gradients.
+def solve_spd(M, b, tol: float = 1e-12) -> np.ndarray:
+    """Solve M s = b for symmetric positive definite M by one dense LU solve.
 
-    Returns s with ||M s - b|| <= tol * ||b||.  M may be a LinearOperator or a
-    dense symmetric array.  SPD-ness is the caller's responsibility; a
-    direction of nonpositive curvature raises NegativeCurvatureError naming
-    the iteration where it surfaced.
+    M may be a LinearOperator or a dense symmetric array.  SPD-ness is not
+    checked up front; SPDSolveError is raised when the LU factorization fails,
+    when the true residual ||M s - b|| exceeds tol * ||b||, or when s.b <= 0,
+    i.e. the solve met nonpositive curvature along s.
     """
     A = M.matrix if isinstance(M, LinearOperator) else np.asarray(M, dtype=float)
     b = as_vector(b)
@@ -195,39 +156,17 @@ def solve_spd(M, b, tol: float = 1e-12, max_iter: int | None = None) -> np.ndarr
     nb = norm(b)
     if nb == 0.0:
         return np.zeros(n)
-    if max_iter is None:
-        max_iter = max(10 * n, 100)
-
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for k in range(max_iter):
-        if math.sqrt(rs) <= tol * nb:
-            return x
-        Ap = A @ p
-        curv = float(p @ Ap)
-        if curv <= 0.0:
-            raise NegativeCurvatureError(k, curv)
-        alpha = rs / curv
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(r @ r)
-        # periodic true-residual refresh guards against drift on ill scaling
-        if k % 50 == 49:
-            r = b - A @ x
-            rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    # final check: CG on SPD systems reaches the tolerance in <= n exact steps;
-    # if rounding kept us above it, report the true residual honestly
-    res = norm(A @ x - b)
-    if res <= tol * nb:
-        return x
-    raise RuntimeError(
-        f"solve_spd: residual {res:.3e} above tol*||b|| = {tol * nb:.3e} "
-        f"after {max_iter} iterations"
-    )
+    try:
+        s = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SPDSolveError(f"solve_spd: LU failed ({exc})") from None
+    res = norm(A @ s - b)
+    if not res <= tol * nb:
+        raise SPDSolveError(f"solve_spd: residual {res:.3e} above tol*||b|| = {tol * nb:.3e}")
+    curv = float(s @ b)
+    if not curv > 0.0:
+        raise SPDSolveError(f"solve_spd: nonpositive curvature s.b = {curv:.6g}")
+    return s
 
 
 def vector_to_json(x) -> list:

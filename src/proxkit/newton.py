@@ -4,9 +4,13 @@ Each solver rewrites first-order optimality as a fixed-point residual built
 from a projection or soft threshold, picks one element of the generalized
 derivative through an activity mask, and eliminates the masked rows by hand:
 pinned coordinates take their residual value directly (landing exactly on a
-bound or exactly at zero after the update), and only the free block goes to
-the SPD solver.  Dense Hessian blocks throughout; sized for N up to a few
-hundred.
+bound or exactly at zero after the update), and only the free block is
+formed and goes to the dense SPD solve.  When the solve rejects that block
+(singular, as for a lasso with more active columns than rows), the step
+solves the Levenberg-Marquardt shifted block B_aa + mu I with
+mu = 0.1 ||Phi(x)|| instead (Yamashita & Fukushima, 2001); well-posed
+blocks keep the exact Newton step.  Dense Hessian blocks throughout; sized
+for N up to a few hundred.
 
 ``ssn_solve`` runs one damped Newton step as a kernel on the splitting
 solvers' shared loop, ``splitting._run``.  A residual past 1e6 times its
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_vector, norm, solve_spd
+from .linalg import SPDSolveError, as_vector, norm, solve_spd
 from .splitting import SolverConfig, _run
 
 __all__ = [
@@ -87,7 +91,11 @@ class NewtonSystem:
     step: np.ndarray
 
 
-def _masked_step(B: np.ndarray, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSystem:
+def _masked_step(block, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSystem:
+    """The eliminated step for the system B; block(ix) returns B[ix] for an
+    np.ix_ pair, so only the active rows of B are ever formed.  A block
+    that solve_spd rejects is solved with the shift 0.1 ||rhs|| on its
+    diagonal."""
     act = mask.active
     pin = mask.pinned
     s = np.empty_like(rhs)
@@ -95,9 +103,27 @@ def _masked_step(B: np.ndarray, mask: NewtonDerivativeMask, rhs: np.ndarray) -> 
     if act.any():
         r = rhs[act].copy()
         if pin.any():
-            r -= B[np.ix_(act, pin)] @ s[pin]
-        s[act] = solve_spd(B[np.ix_(act, act)], r)
+            r -= block(np.ix_(act, pin)) @ s[pin]
+        b_aa = block(np.ix_(act, act))
+        try:
+            s[act] = solve_spd(b_aa, r)
+        except SPDSolveError:
+            s[act] = solve_spd(b_aa + 0.1 * norm(rhs) * np.eye(r.size), r)
     return NewtonSystem(mask, s)
+
+
+def _last_value(fn):
+    """fn with a one-entry cache keyed on the identity of its argument, so a
+    step reuses what the residual just computed at the same iterate and
+    recomputes at any other (after a damping underflow, say)."""
+    last = [None, None]
+
+    def cached(x):
+        if last[0] is not x:
+            last[:] = x, fn(x)
+        return last[1]
+
+    return cached
 
 
 @dataclass
@@ -194,15 +220,16 @@ def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
         raise ValueError("l1_ssn: alpha and gamma must be positive")
     hess_at = _as_hess(hess)
     thresh = gamma * alpha
+    w_of = _last_value(lambda x: x - gamma * as_vector(grad(x)))
 
     def residual(x):
-        w = x - gamma * as_vector(grad(x))
+        w = w_of(x)
         return x - np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
 
     def step(x, r):
-        w = x - gamma * as_vector(grad(x))
-        mask = NewtonDerivativeMask.threshold(w, thresh)
-        return _masked_step(gamma * hess_at(x), mask, -r)
+        mask = NewtonDerivativeMask.threshold(w_of(x), thresh)
+        H = hess_at(x)
+        return _masked_step(lambda ix: gamma * H[ix], mask, -r)
 
     return ssn_solve(residual, step, x0, tol=tol, max_iter=max_iter, damped=damped)
 
@@ -219,16 +246,16 @@ def moreau_yosida_ssn(grad, hess, gamma: float, u0, tol: float = 1e-10,
     if not (gamma > 0):
         raise ValueError("moreau_yosida_ssn: gamma must be positive")
     hess_at = _as_hess(hess)
+    grad_of = _last_value(lambda u: as_vector(grad(u)))
 
     def residual(u):
-        return u - scaled_soft_threshold(-as_vector(grad(u)), gamma)
+        return u - scaled_soft_threshold(-grad_of(u), gamma)
 
     def step(u, r):
-        gu = as_vector(grad(u))
-        mask = NewtonDerivativeMask.threshold(-gu, 1.0)
+        mask = NewtonDerivativeMask.threshold(-grad_of(u), 1.0)
         H = hess_at(u)
-        B = np.eye(u.size) + H / gamma
-        return _masked_step(B, mask, -r)
+        # (rows == cols) is the identity's entries of the block
+        return _masked_step(lambda ix: (ix[0] == ix[1]) + H[ix] / gamma, mask, -r)
 
     return ssn_solve(residual, step, u0, tol=tol, max_iter=max_iter, damped=damped)
 
@@ -260,15 +287,14 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
     B = np.eye(n) + StS / alpha
     x_start = np.zeros(n) if u0 is None else as_vector(u0)
 
-    def v_of(u):
-        return (Stz - StS @ u) / alpha
+    v_of = _last_value(lambda u: (Stz - StS @ u) / alpha)
 
     def residual(u):
         return u - np.clip(v_of(u), lo, hi)
 
     def step(u, r):
         mask = NewtonDerivativeMask.interval(v_of(u), lo, hi)
-        return _masked_step(B, mask, -r)
+        return _masked_step(lambda ix: B[ix], mask, -r)
 
     return ssn_solve(residual, step, x_start, tol=tol, max_iter=max_iter, damped=damped)
 

@@ -19,6 +19,7 @@ from proxkit.problems import (
     control_as_boxqp,
     gen_control,
     gen_lasso,
+    kkt_residual,
     oracle_control,
     oracle_lasso,
 )
@@ -109,6 +110,22 @@ def test_l1_ssn_superlinear_tail():
     errors, ratios = superlinear_diagnostic(res.iterates, res.x)
     assert len(ratios) >= 1
     assert ratios[-1] <= 0.1
+
+
+@pytest.mark.parametrize("damped", [True, False])
+@pytest.mark.parametrize("n, m", [(20, 12), (30, 20), (40, 25)])
+def test_l1_ssn_survives_singular_active_blocks(n, m, damped):
+    # with fewer rows than columns the active block gamma * A_a'A_a turns
+    # singular once more than m coordinates are active; the shifted block
+    # keeps every step defined
+    for seed in range(8):
+        spec = gen_lasso(n, m, seed=seed)
+        grad, hess = _lasso_pieces(spec)
+        res = l1_ssn(grad, hess, spec.alpha, 1.0, np.zeros(n), damped=damped)
+        assert not res.diverged and np.isfinite(res.residuals).all()
+        if damped:
+            assert res.converged
+            assert kkt_residual(spec, res.x) <= 1e-8
 
 
 def test_l1_ssn_damping_handles_small_gamma():
@@ -348,6 +365,47 @@ def test_ssn_solve_evaluates_the_residual_once_per_trial(factor, damped, trials)
         taken = group[0] if trials == 25 else group[-1]
         assert res.iterates[k + 1].tobytes() == taken.tobytes()
         assert res.residuals[k + 1] == np.linalg.norm(taken)
+
+
+@pytest.mark.parametrize("solver", ["l1", "moreau_yosida"])
+def test_newton_step_reuses_the_residuals_gradient(monkeypatch, solver):
+    spec = gen_lasso(30, 60, seed=2)
+    # lasso / alpha, as a continuation stage sees it
+    h = spec.a.T @ spec.a / spec.alpha
+    atb = spec.a.T @ spec.b / spec.alpha
+    calls = {"grad": 0, "residual": 0}
+    kernels = []
+
+    def grad(x):
+        calls["grad"] += 1
+        return h @ x - atb
+
+    def counting_ssn(residual, step, x0, **kw):
+        def counted(x):
+            calls["residual"] += 1
+            return residual(x)
+
+        kernels.append((residual, step))
+        return ssn_solve(counted, step, x0, **kw)
+
+    monkeypatch.setattr(newton, "ssn_solve", counting_ssn)
+    if solver == "l1":
+        res = l1_ssn(grad, h, 1.0, 0.5, np.zeros(spec.n))
+    else:
+        res = moreau_yosida_ssn(grad, h, 0.5, np.zeros(spec.n))
+    assert res.converged and res.n_iter >= 2
+    assert calls["grad"] == calls["residual"]
+    # at the iterate the residual last saw, the step takes no new gradient;
+    # at an equal array of another identity it computes one, to the same step
+    residual, step = kernels[0]
+    x = res.iterates[1]
+    r = residual(x)
+    before = calls["grad"]
+    s_hit = step(x, r).step
+    assert calls["grad"] == before
+    s_miss = step(x.copy(), r).step
+    assert calls["grad"] == before + 1
+    assert s_hit.tobytes() == s_miss.tobytes()
 
 
 # --- the shared loop reproduces the plain Newton iteration ----------------------------

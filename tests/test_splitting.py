@@ -271,6 +271,23 @@ def test_primal_dual_step_gate():
     assert "1.44" in str(exc.value)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_primal_dual_gate_holds_on_a_clustered_spectrum(seed):
+    # sigma_1 = 1 and sigma_2 = 1 - 1e-7: an iterative norm estimate sits
+    # below sigma_1 here, and a step just past the bound would get through
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((60, 40)))
+    v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    spectrum = np.concatenate([[1.0, 1.0 - 1e-7], np.linspace(0.9, 0.1, 38)])
+    a = LinearOperator((u * spectrum) @ v.T)
+    top = np.linalg.svd(a.matrix, compute_uv=False)[0]
+    assert op_norm(a) >= top
+    prob = CompositeProblem(f=L1(), g=SquaredL2(), a=a)
+    cfg = SolverConfig(tau=1.0, sigma=(1.0 + 1e-10) / top**2)
+    with pytest.raises(ValueError, match="sigma\\*tau"):
+        primal_dual(prob, np.zeros(40), np.zeros(60), cfg)
+
+
 def test_primal_dual_solves_lasso_split():
     spec = gen_lasso(5, 10, seed=8)
     from proxkit.problems import lasso_composite_split
