@@ -162,8 +162,7 @@ def _publish(tmp: str, out: str):
 
 def _write_json(path: str, data):
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
 # --- gen ------------------------------------------------------------------------
@@ -183,8 +182,7 @@ def cmd_gen(args) -> int:
     spec = _generate(args.problem, args.n, args.m, args.seed)
     doc = problems.problem_to_json(spec)
     if args.out is None:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         return 0
     tmp, out = _stage_out_dir(args.out)
     _write_json(os.path.join(tmp, "problem.json"), doc)

@@ -365,7 +365,9 @@ class Quadratic(ProxFunctional):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DimensionMismatchError("Q must be square")
-        if not np.allclose(Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max())):
+        if not np.array_equal(Q, Q.T) and not np.allclose(
+            Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max())
+        ):
             raise ValueError("Q must be symmetric")
         self.Q = _read_only(0.5 * (Q + Q.T))
         self.c = _read_only(as_vector(c))

@@ -421,10 +421,10 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
 
     x <- prox_{tau f}(x - tau A'y); y <- prox_{sigma g*}(y + sigma A xbar)
     with xbar the extrapolation 2x^{k+1} - x^k.  Requires
-    sigma * tau * ||A||^2 < 1, checked against the exact spectral norm
-    before any work happens.  The dual prox comes from g's own prox through
-    the Moreau identity.  Returns (x, y, trace); the trace gap column is the
-    raw duality gap at (x^k, y^k).
+    sigma * tau * ||A||^2 < 1, checked against op_norm, an upper bound on
+    ||A||, before any work happens.  The dual prox comes from g's own prox
+    through the Moreau identity.  Returns (x, y, trace); the trace gap
+    column is the raw duality gap at (x^k, y^k).
 
     An iteration makes 3 matvecs: A xbar in the sweep, then A'y^{k+1} and
     A x^{k+1}.  The trace row's objective and gap share that A x, and the

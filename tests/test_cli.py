@@ -217,6 +217,39 @@ def test_bench_table(tmp_path, capsys):
     assert (out_dir / "trace_pdhg.csv").is_file()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--problem", "control", "--n", "5", "--seed", "2"],
+        ["solve", "--solver", "pdhg", "--problem", "lasso", "--n", "5", "--seed", "1"],
+        ["bench", "--problem", "boxqp", "--n", "4", "--seed", "1", "--tol", "1e-9"],
+    ],
+)
+def test_json_artifacts_parse_to_the_indented_documents(argv, tmp_path, capsys, monkeypatch):
+    # artifacts are compact one-line JSON; whitespace is all that differs
+    # from the indent=2 encoding, so both parse to the same document
+    from proxkit import cli
+
+    written = []
+    write_json = cli._write_json
+
+    def spy(path, data):
+        written.append((path, data))
+        write_json(path, data)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    code, _, _ = run_main(argv + ["--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and written
+    for path, data in written:
+        text = (tmp_path / "out" / os.path.basename(path)).read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert json.loads(text) == json.loads(json.dumps(data, indent=2, sort_keys=True))
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    if argv[0] == "gen":
+        _, out, _ = run_main(argv, capsys)
+        assert out == (tmp_path / "out" / "problem.json").read_text()
+
+
 def test_bench_huber_skips_two_prox_solvers(capsys):
     code, out, _ = run_main(
         ["bench", "--problem", "huber", "--n", "4", "--tol", "1e-9"], capsys

@@ -286,6 +286,26 @@ def test_box_support_value_matches_scalar_loop_bit_for_bit():
     assert n_inf > 0 and n_finite > 0
 
 
+def test_quadratic_symmetry_check():
+    rng = np.random.default_rng(17)
+    b0 = rng.standard_normal((6, 6))
+    exact = b0 @ b0.T + np.eye(6)
+    assert Quadratic(exact, np.zeros(6)).Q.tobytes() == exact.tobytes()
+    near = exact.copy()
+    near[0, 1] += 1e-13
+    assert not np.array_equal(near, near.T)
+    assert Quadratic(near, np.zeros(6)).Q.tobytes() == (0.5 * (near + near.T)).tobytes()
+    skew = exact.copy()
+    skew[0, 1] += 1e-6
+    nan = exact.copy()
+    nan[2, 2] = np.nan
+    for bad in (skew, nan, np.triu(exact)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # allclose on a NaN atol
+            with pytest.raises(ValueError, match="^Q must be symmetric$"):
+                Quadratic(bad, np.zeros(6))
+
+
 def test_catalog_entries_own_read_only_data():
     rng = np.random.default_rng(13)
     b0 = rng.standard_normal((5, 5))

@@ -189,3 +189,98 @@ def test_norm_overflows_to_inf_like_numpy_norm():
             assert fn(big) == np.inf
         caught.append([(w.category, str(w.message)) for w in seen])
     assert caught[0] == caught[1]
+
+
+# --- op_norm as an upper bound -------------------------------------------------------
+
+
+def _svd_top(m):
+    return np.linalg.svd(m, compute_uv=False)[0]
+
+
+def _rotated(spectrum, seed):
+    # exactly symmetric V diag(spectrum) V'
+    v, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(spectrum),) * 2))
+    m = (v * spectrum) @ v.T
+    return 0.5 * (m + m.T)
+
+
+_RNG = np.random.default_rng(31)
+_OP_NORM_CASES = {
+    "tall": _RNG.standard_normal((40, 7)),
+    "wide": _RNG.standard_normal((6, 35)),
+    "square_nonsymmetric": _RNG.standard_normal((12, 12)),
+    "symmetric_psd": _rotated(np.array([4.0, 2.0, 1.0, 1e-9, 0.0, 0.0]), 3),
+    "symmetric_indefinite": _rotated(np.array([-3.0, 2.5, 1.0, -0.5, 0.0]), 4),
+    "rank_one": np.outer(_RNG.standard_normal(9), _RNG.standard_normal(5)),
+    "row": _RNG.standard_normal((1, 30)),
+    "column": _RNG.standard_normal((30, 1)),
+    "one_by_one": np.array([[-2.5]]),
+    "tiny_entries": _RNG.standard_normal((8, 5)) * 1e-170,
+    "huge_entries": _RNG.standard_normal((5, 8)) * 1e170,
+    "huge_symmetric": _rotated(np.array([-4.0, 1.0, 3.0]), 5) * 1e300,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OP_NORM_CASES))
+def test_op_norm_is_an_upper_bound_within_rounding(name):
+    m = _OP_NORM_CASES[name]
+    top = _svd_top(m)
+    got = op_norm(LinearOperator(m))
+    assert type(got) is float
+    assert top <= got <= top * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 4), (4, 1), (2, 5)])
+def test_op_norm_of_zero_matrix_is_zero(shape):
+    got = op_norm(LinearOperator(np.zeros(shape)))
+    assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_op_norm_bounds_a_clustered_spectrum(seed):
+    rng = np.random.default_rng(1000 + seed)
+    u, _ = np.linalg.qr(rng.standard_normal((60, 40)))
+    v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    spectrum = np.concatenate([[1.0, 1.0 - 1e-7], np.linspace(0.9, 0.1, 38)])
+    m = (u * spectrum) @ v.T
+    for op in (m, m.T, _rotated(np.concatenate([-spectrum, spectrum[2:5]]), seed)):
+        got = op_norm(LinearOperator(op))
+        top = _svd_top(op)
+        assert top <= got <= top * (1 + 1e-12)
+
+
+def _certifies_norm_bound(m, bound) -> bool:
+    """True when bound^2 I - m'm is positive definite in exact rational
+    arithmetic, i.e. bound > ||m||_2 for the integer matrix m."""
+    from fractions import Fraction
+
+    ints = [[int(t) for t in row] for row in m]
+    cols = len(ints[0])
+    t = Fraction(bound) ** 2
+    h = [
+        [(t if i == j else 0) - sum(r[i] * r[j] for r in ints) for j in range(cols)]
+        for i in range(cols)
+    ]
+    for k in range(cols):
+        if h[k][k] <= 0:
+            return False
+        for i in range(k + 1, cols):
+            f = h[i][k] / h[k][k]
+            for j in range(k, cols):
+                h[i][j] -= f * h[k][j]
+    return True
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_op_norm_is_a_certified_upper_bound_on_integer_matrices(seed):
+    # ||M||^2 is an algebraic number here; exact elimination on
+    # op_norm^2 I - M'M shows op_norm is above it, not just near it
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 7, size=2)
+    b = rng.integers(-9, 10, size=(rows, cols))
+    u, v = rng.integers(-9, 10, size=rows), rng.integers(1, 10, size=cols)
+    for m in (b, b.T @ b - 40 * np.eye(cols, dtype=int), np.outer(u, v), u[None, :], u[:, None]):
+        if not m.any():
+            continue
+        assert _certifies_norm_bound(m, op_norm(LinearOperator(m)))
