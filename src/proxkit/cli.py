@@ -59,7 +59,6 @@ from .splitting import (
     proximal_point,
 )
 
-PROBLEM_KINDS = ("lasso", "boxqp", "control", "huber")
 SOLVERS = ("pg", "pg-ls", "fista", "dr", "pdhg")
 SUITES = ("moreau", "envelope", "rate", "fejer", "superlinear", "drpdhg", "all")
 
@@ -110,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a benchmark instance")
-    g.add_argument("--problem", choices=PROBLEM_KINDS, required=True)
+    g.add_argument("--problem", choices=tuple(problems.KINDS), required=True)
     g.add_argument("--n", type=int, default=8)
     g.add_argument("--m", type=int, default=None)
     _add_common(g)
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an instance with one splitting solver")
     s.add_argument("--solver", choices=SOLVERS, required=True)
     s.add_argument("--problem-file", help="instance JSON written by gen")
-    s.add_argument("--problem", choices=PROBLEM_KINDS, help="generate inline instead")
+    s.add_argument("--problem", choices=tuple(problems.KINDS), help="generate inline instead")
     s.add_argument("--n", type=int, default=8)
     s.add_argument("--m", type=int, default=None)
     s.add_argument("--gamma", type=float, default=None, help="prox step override")
@@ -131,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(c)
 
     b = sub.add_parser("bench", help="run all applicable solvers on one instance")
-    b.add_argument("--problem", choices=PROBLEM_KINDS, required=True)
+    b.add_argument("--problem", choices=tuple(problems.KINDS), required=True)
     b.add_argument("--n", type=int, default=8)
     b.add_argument("--m", type=int, default=None)
     _add_common(b)
@@ -168,18 +167,8 @@ def _write_json(path: str, data):
 # --- gen ------------------------------------------------------------------------
 
 
-def _generate(kind: str, n: int, m, seed: int):
-    if kind == "lasso":
-        return problems.gen_lasso(n, m, seed=seed)
-    if kind == "boxqp":
-        return problems.gen_boxqp(n, seed=seed)
-    if kind == "control":
-        return problems.gen_control(n, m, seed=seed)
-    return problems.gen_huber(n, seed=seed)
-
-
 def cmd_gen(args) -> int:
-    spec = _generate(args.problem, args.n, args.m, args.seed)
+    spec = problems.KINDS[args.problem].generate(args.n, args.m, args.seed)
     doc = problems.problem_to_json(spec)
     if args.out is None:
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
@@ -213,59 +202,38 @@ def _load_spec(args):
         with open(args.problem_file) as fh:
             return problems.problem_from_json(json.load(fh)), args.problem_file
     if args.problem:
-        return _generate(args.problem, args.n, args.m, args.seed), "generated"
+        return problems.KINDS[args.problem].generate(args.n, args.m, args.seed), "generated"
     raise UsageError("need --problem-file or --problem")
 
 
-def _kind_of(spec) -> str:
-    return {
-        problems.LassoSpec: "lasso",
-        problems.BoxQPSpec: "boxqp",
-        problems.ControlSpec: "control",
-        problems.HuberSpec: "huber",
-    }[type(spec)]
-
-
-def _smooth_composite(spec) -> CompositeProblem:
-    """The smooth-plus-prox form that pg, pg-ls and fista run on."""
-    return {
-        "lasso": problems.lasso_composite_smooth,
-        "boxqp": problems.boxqp_composite,
-        "huber": problems.huber_composite,
-    }[_kind_of(spec)](spec)
+def _solvers_for(kind: str) -> list:
+    """The solvers that apply to kind: all but dr and pdhg when it has no dr_pair."""
+    return [s for s in SOLVERS if problems.KINDS[kind].dr_pair or s not in ("dr", "pdhg")]
 
 
 def _run_solver(spec, solver: str, args, smooth=None):
     """Dispatch (spec, solver) to a configured run, a control spec given as its
-    control_as_boxqp; UsageError before any work when the pairing makes no
-    sense.  smooth, when given, is the instance's _smooth_composite."""
-    kind = _kind_of(spec)
-    n = spec.n
-    x0 = np.zeros(n)
-    if kind == "huber" and solver in ("dr", "pdhg"):
-        raise UsageError(f"solver {solver} does not apply to the huber problem")
+    control_as_boxqp; UsageError before any work when the solver does not
+    apply.  smooth, when given, is the instance's smooth-plus-prox form."""
+    entry = problems.KINDS[spec.kind]
+    x0 = np.zeros(spec.n)
+    if solver not in _solvers_for(spec.kind):
+        raise UsageError(f"solver {solver} does not apply to the {spec.kind} problem")
 
     if solver in ("pg", "pg-ls", "fista"):
-        comp = smooth or _smooth_composite(spec)
+        comp = smooth or entry.smooth(spec)
         cfg = SolverConfig(gamma=args.gamma, tol=args.tol, max_iter=args.max_iter)
         if solver == "fista":
-            x, trace = fista(comp, x0, cfg)
-        else:
-            x, trace = prox_gradient(comp, x0, cfg, line_search=(solver == "pg-ls"))
-        return x, trace
+            return fista(comp, x0, cfg)
+        return prox_gradient(comp, x0, cfg, line_search=(solver == "pg-ls"))
 
     if solver == "dr":
-        comp = {
-            "lasso": problems.lasso_dr_pair,
-            "boxqp": problems.boxqp_dr_pair,
-        }[kind](spec)
         gamma = 1.0 if args.gamma is None else args.gamma
         cfg = SolverConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
-        x, trace = douglas_rachford(comp, x0, cfg)
-        return x, trace
+        return douglas_rachford(entry.dr_pair(spec), x0, cfg)
 
     # pdhg
-    if kind == "lasso":
+    if spec.kind == "lasso":
         comp = problems.lasso_composite_split(spec)
         y0 = np.zeros(spec.a.shape[0])
         anorm = op_norm(comp.a)
@@ -274,7 +242,7 @@ def _run_solver(spec, solver: str, args, smooth=None):
         comp = CompositeProblem(
             f=BoxIndicator(spec.lo, spec.hi), g=Quadratic(spec.q, spec.c)
         )
-        y0 = np.zeros(n)
+        y0 = np.zeros(spec.n)
         anorm = 1.0
     tau = args.tau if args.tau is not None else 0.9 / max(anorm, 1e-12)
     sigma = args.sigma if args.sigma is not None else 0.9 / max(anorm, 1e-12)
@@ -285,13 +253,13 @@ def _run_solver(spec, solver: str, args, smooth=None):
 
 def cmd_solve(args) -> int:
     spec, source = _load_spec(args)
-    form = problems.control_as_boxqp(spec) if _kind_of(spec) == "control" else spec
+    form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
     # a diverging run overflows on its way out; the trace reports that instead
     with np.errstate(over="ignore", invalid="ignore"):
         x, trace = _run_solver(form, args.solver, args)
     if trace.diverged:
         print(
-            f"{args.solver} on {_kind_of(spec)} n={spec.n}: diverged at iteration "
+            f"{args.solver} on {spec.kind} n={spec.n}: diverged at iteration "
             f"{trace.n_iter + 1} (non-finite residual)"
         )
         return 3
@@ -299,7 +267,7 @@ def cmd_solve(args) -> int:
     kkt = problems.kkt_residual(form, x)
     status = "converged" if trace.converged else "did not converge"
     print(
-        f"{args.solver} on {_kind_of(spec)} n={spec.n}: {status} "
+        f"{args.solver} on {spec.kind} n={spec.n}: {status} "
         f"after {trace.n_iter} iterations, objective {obj:.12g}, "
         f"optimality {kkt:.3e}"
     )
@@ -321,7 +289,7 @@ def cmd_solve(args) -> int:
             {
                 "command": "solve",
                 "version": __version__,
-                "problem": {"kind": _kind_of(spec), "n": spec.n, "source": source},
+                "problem": {"kind": spec.kind, "n": spec.n, "source": source},
                 "solver": args.solver,
                 "seed": args.seed,
                 "tol": args.tol,
@@ -504,15 +472,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _generate(args.problem, args.n, args.m, args.seed)
-    form = problems.control_as_boxqp(spec) if args.problem == "control" else spec
-    solvers = [s for s in SOLVERS if not (args.problem == "huber" and s in ("dr", "pdhg"))]
+    spec = problems.KINDS[args.problem].generate(args.n, args.m, args.seed)
+    form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
+    solvers = _solvers_for(args.problem)
     rows = []
     tmp = out = None
     if args.out is not None:
         tmp, out = _stage_out_dir(args.out)
     ns = argparse.Namespace(**vars(args), gamma=None, tau=None, sigma=None)
-    smooth = _smooth_composite(form)
+    smooth = problems.KINDS[form.kind].smooth(form)
     for solver in solvers:
         with np.errstate(over="ignore", invalid="ignore"):
             x, trace = _run_solver(form, solver, ns, smooth)
@@ -556,7 +524,6 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "gen": cmd_gen,
         "solve": cmd_solve,
@@ -564,6 +531,8 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
     }
     try:
+        # the parser reads the PROXKIT_* defaults, so a bad one is a UsageError here
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

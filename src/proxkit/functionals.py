@@ -365,8 +365,10 @@ class Quadratic(ProxFunctional):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DimensionMismatchError("Q must be square")
-        if not np.array_equal(Q, Q.T) and not np.allclose(
-            Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max())
+        # a NaN fails array_equal; the finiteness test keeps it from allclose's NaN atol
+        if not np.array_equal(Q, Q.T) and not (
+            np.isfinite(Q).all()
+            and np.allclose(Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max()))
         ):
             raise ValueError("Q must be symmetric")
         self.Q = _read_only(0.5 * (Q + Q.T))
@@ -759,32 +761,23 @@ def functional_to_json(F: ProxFunctional) -> dict:
 
 
 def functional_from_json(data: dict) -> ProxFunctional:
-    kind = data["kind"]
-    p = data.get("params", {})
-    if kind == "Zero":
-        return Zero()
-    if kind == "SquaredL2":
-        return SquaredL2()
-    if kind == "L1":
-        return L1()
-    if kind == "L2Norm":
-        return L2Norm()
-    if kind == "BoxIndicator":
-        return BoxIndicator(p["lo"], p["hi"])
-    if kind == "BoxSupport":
-        return BoxSupport(p["lo"], p["hi"])
-    if kind == "InfBallIndicator":
-        return InfBallIndicator(p["radius"])
-    if kind == "L2BallIndicator":
-        return L2BallIndicator(p["radius"])
-    if kind == "Quadratic":
-        return Quadratic(p["q"], p["c"], p.get("d", 0.0))
-    if kind == "Scaled":
-        return scale(functional_from_json(p["inner"]), p["alpha"])
-    if kind == "Shifted":
-        return Shifted(p["x0"], functional_from_json(p["inner"]))
-    if kind == "Tilted":
-        return Tilted(functional_from_json(p["inner"]), p["v"])
-    if kind == "SeparableSum":
-        return SeparableSum([functional_from_json(q) for q in p["pieces"]])
-    raise ValueError(f"unknown functional kind: {kind}")
+    if data["kind"] not in _FROM_JSON:
+        raise ValueError(f"unknown functional kind: {data['kind']}")
+    return _FROM_JSON[data["kind"]](data.get("params", {}))
+
+
+_FROM_JSON = {
+    "Zero": lambda p: Zero(),
+    "SquaredL2": lambda p: SquaredL2(),
+    "L1": lambda p: L1(),
+    "L2Norm": lambda p: L2Norm(),
+    "BoxIndicator": lambda p: BoxIndicator(p["lo"], p["hi"]),
+    "BoxSupport": lambda p: BoxSupport(p["lo"], p["hi"]),
+    "InfBallIndicator": lambda p: InfBallIndicator(p["radius"]),
+    "L2BallIndicator": lambda p: L2BallIndicator(p["radius"]),
+    "Quadratic": lambda p: Quadratic(p["q"], p["c"], p.get("d", 0.0)),
+    "Scaled": lambda p: scale(functional_from_json(p["inner"]), p["alpha"]),
+    "Shifted": lambda p: Shifted(p["x0"], functional_from_json(p["inner"])),
+    "Tilted": lambda p: Tilted(functional_from_json(p["inner"]), p["v"]),
+    "SeparableSum": lambda p: SeparableSum([functional_from_json(q) for q in p["pieces"]]),
+}

@@ -23,8 +23,6 @@ __all__ = [
     "identity",
     "op_norm",
     "solve_spd",
-    "vector_to_json",
-    "vector_from_json",
 ]
 
 
@@ -182,11 +180,3 @@ def solve_spd(M, b, tol: float = 1e-12) -> np.ndarray:
     if not curv > 0.0:
         raise SPDSolveError(f"solve_spd: nonpositive curvature s.b = {curv:.6g}")
     return s
-
-
-def vector_to_json(x) -> list:
-    return [float(t) for t in np.asarray(x, dtype=float)]
-
-
-def vector_from_json(data) -> np.ndarray:
-    return as_vector(data)

@@ -74,9 +74,6 @@ class NewtonDerivativeMask:
         v = as_vector(v)
         return cls((v > lo) & (v < hi))
 
-    def indicator(self) -> np.ndarray:
-        return self.active.astype(float)
-
 
 @dataclass
 class NewtonSystem:

@@ -2,7 +2,10 @@
 
 Four problem kinds, each a dataclass with JSON round-trip, a seeded
 generator that is bit-identical per seed, an independent oracle that does
-not share code with any iterative solver, and a scalar optimality measure:
+not share code with any iterative solver, and a scalar optimality measure.
+The registry KINDS gives each kind's spec class, generator and solver forms.
+Spec fields carry their symbolic shapes, which drive both the checks every
+constructor makes and the one generic JSON pair:
 
   lasso    1/2||Ax-b||^2 + alpha*||x||_1, planted sparse ground truth
   boxqp    1/2 x'Qx + c'x over a box, Q symmetric positive definite
@@ -20,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from numbers import Real
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -59,6 +63,8 @@ __all__ = [
     "boxqp_dr_pair",
     "control_composite",
     "huber_composite",
+    "ProblemKind",
+    "KINDS",
     "problem_to_json",
     "problem_from_json",
 ]
@@ -66,121 +72,101 @@ __all__ = [
 _ENUM_CAP = 12  # 3^12 is half a million linear solves; beyond that, refuse
 
 
-def _mat(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("expected a matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    return m
+def _param(*shape, default=dataclasses.MISSING, **flags):
+    """A spec field of symbolic shape, e.g. ("m", "n"); () is a positive scalar.
+    Flags: bound (a scalar broadcasts, +-inf allowed), spd (Cholesky at load)."""
+    return dataclasses.field(default=default, metadata={"shape": shape, **flags})
+
+
+def _coerce(kind: str, f: dataclasses.Field, value, dims: dict):
+    """value as the field f of a kind spec holds it, binding the symbolic
+    sizes in dims; a one-line ValueError naming the field otherwise."""
+    where = f"{kind} problem: {f.name}"
+    shape = f.metadata["shape"]
+    if not shape:
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+            raise ValueError(f"{where} must be a positive number, got {value!r:.40}")
+        return float(value)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} must be a rectangular array of numbers") from None
+    if f.metadata.get("bound"):
+        if arr.ndim == 0:
+            arr = np.full(dims[shape[0]], float(arr))
+        if np.isnan(arr).any():
+            raise ValueError(f"{where} entries must not be NaN")
+    elif not np.isfinite(arr).all():
+        raise ValueError(f"{where} entries must be finite")
+    if arr.ndim != len(shape) or arr.size == 0:
+        raise ValueError(f"{where} must be a nonempty {len(shape)}-d array, got shape {arr.shape}")
+    want = tuple(dims.setdefault(d, size) for d, size in zip(shape, arr.shape))
+    if arr.shape != want:
+        raise ValueError(f"{where} has shape {arr.shape}, expected {want}")
+    return arr
+
+
+class _Spec:
+    """Coerces and checks every field in declaration order, so a spec built
+    from arrays, lists or a JSON document holds float arrays of consistent
+    shapes and positive scalars; n is the number of unknowns."""
+
+    kind: ClassVar[str]
+    n: int
+
+    def __post_init__(self):
+        dims: dict[str, int] = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                setattr(self, f.name, _coerce(self.kind, f, value, dims))
+        self.n = dims["n"]
+        if hasattr(self, "lo") and np.any(self.lo > self.hi):
+            raise ValueError(f"{self.kind} problem: need lo <= hi")
 
 
 @dataclass
-class LassoSpec:
+class LassoSpec(_Spec):
     """min 1/2||Ax - b||^2 + alpha*||x||_1; x_true is the planted signal, if any."""
 
-    a: np.ndarray
-    b: np.ndarray
-    alpha: float
-    x_true: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.a = _mat(self.a)
-        self.b = as_vector(self.b)
-        if self.b.size != self.a.shape[0]:
-            raise ValueError("b does not match A")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        if self.x_true is not None:
-            self.x_true = as_vector(self.x_true)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
+    kind: ClassVar[str] = "lasso"
+    a: np.ndarray = _param("m", "n")
+    b: np.ndarray = _param("m")
+    alpha: float = _param()
+    x_true: np.ndarray | None = _param("n", default=None)
 
     def objective(self, x) -> float:
         x = as_vector(x)
         r = self.a @ x - self.b
         return 0.5 * float(r @ r) + self.alpha * float(np.abs(x).sum())
 
-    def to_json(self) -> dict:
-        p = {
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "alpha": self.alpha,
-        }
-        if self.x_true is not None:
-            p["x_true"] = self.x_true.tolist()
-        return {"kind": "lasso", "params": p}
-
 
 @dataclass
-class BoxQPSpec:
+class BoxQPSpec(_Spec):
     """min 1/2 x'Qx + c'x subject to lo <= x <= hi, Q symmetric positive definite."""
 
-    q: np.ndarray
-    c: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.q = _mat(self.q)
-        self.c = as_vector(self.c)
-        n = self.c.size
-        if self.q.shape != (n, n):
-            raise ValueError("Q does not match c")
-        self.lo = np.broadcast_to(np.asarray(self.lo, dtype=float), (n,)).copy()
-        self.hi = np.broadcast_to(np.asarray(self.hi, dtype=float), (n,)).copy()
-        if np.any(self.lo > self.hi):
-            raise ValueError("need lo <= hi")
-
-    @property
-    def n(self) -> int:
-        return self.c.size
+    kind: ClassVar[str] = "boxqp"
+    q: np.ndarray = _param("n", "n", spd=True)
+    c: np.ndarray = _param("n")
+    lo: np.ndarray = _param("n", bound=True)
+    hi: np.ndarray = _param("n", bound=True)
 
     def objective(self, x) -> float:
         x = as_vector(x)
         box = BoxIndicator(self.lo, self.hi)
         return 0.5 * float(x @ (self.q @ x)) + float(self.c @ x) + box.value(x)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "boxqp",
-            "params": {
-                "q": self.q.tolist(),
-                "c": self.c.tolist(),
-                "lo": self.lo.tolist(),
-                "hi": self.hi.tolist(),
-            },
-        }
-
 
 @dataclass
-class ControlSpec:
+class ControlSpec(_Spec):
     """min 1/2||Su - z||^2 + alpha/2||u||^2 subject to lo <= u <= hi."""
 
-    s: np.ndarray
-    z: np.ndarray
-    alpha: float
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.s = _mat(self.s)
-        self.z = as_vector(self.z)
-        if self.z.size != self.s.shape[0]:
-            raise ValueError("z does not match S")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
-        n = self.s.shape[1]
-        self.lo = np.broadcast_to(np.asarray(self.lo, dtype=float), (n,)).copy()
-        self.hi = np.broadcast_to(np.asarray(self.hi, dtype=float), (n,)).copy()
-        if np.any(self.lo > self.hi):
-            raise ValueError("need lo <= hi")
-
-    @property
-    def n(self) -> int:
-        return self.s.shape[1]
+    kind: ClassVar[str] = "control"
+    s: np.ndarray = _param("m", "n")
+    z: np.ndarray = _param("m")
+    alpha: float = _param()
+    lo: np.ndarray = _param("n", bound=True)
+    hi: np.ndarray = _param("n", bound=True)
 
     def objective(self, u) -> float:
         u = as_vector(u)
@@ -188,39 +174,19 @@ class ControlSpec:
         box = BoxIndicator(self.lo, self.hi)
         return 0.5 * float(r @ r) + 0.5 * self.alpha * float(u @ u) + box.value(u)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "control",
-            "params": {
-                "s": self.s.tolist(),
-                "z": self.z.tolist(),
-                "alpha": self.alpha,
-                "lo": self.lo.tolist(),
-                "hi": self.hi.tolist(),
-            },
-        }
-
 
 @dataclass
-class HuberSpec:
+class HuberSpec(_Spec):
     """min alpha*sum_i huber_gamma(x_i) + 1/2||x - b||^2.
 
     huber_gamma(t) = t^2/(2 gamma) for |t| <= gamma, |t| - gamma/2 beyond;
     smooth everywhere, solvable coordinatewise in closed form.
     """
 
-    b: np.ndarray
-    alpha: float
-    gamma: float
-
-    def __post_init__(self):
-        self.b = as_vector(self.b)
-        if not (self.alpha > 0 and self.gamma > 0):
-            raise ValueError("alpha and gamma must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.b.size
+    kind: ClassVar[str] = "huber"
+    b: np.ndarray = _param("n")
+    alpha: float = _param()
+    gamma: float = _param()
 
     def objective(self, x) -> float:
         return self._objective(as_vector(x))
@@ -237,12 +203,6 @@ class HuberSpec:
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.alpha * np.clip(x / self.gamma, -1.0, 1.0) + (x - self.b)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "huber",
-            "params": {"b": self.b.tolist(), "alpha": self.alpha, "gamma": self.gamma},
-        }
 
 
 # --- generators (bit-identical per seed) -----------------------------------
@@ -545,31 +505,79 @@ def huber_composite(spec: HuberSpec) -> CompositeProblem:
     return CompositeProblem(smooth=smooth, g=Zero())
 
 
-# --- JSON ---------------------------------------------------------------------
+# --- the registry ---------------------------------------------------------------
 
-_SPEC_KINDS = {"lasso": LassoSpec, "boxqp": BoxQPSpec, "control": ControlSpec, "huber": HuberSpec}
+
+@dataclass(frozen=True)
+class ProblemKind:
+    """One problem kind: its spec type, its seeded generator(n, m, seed) (m
+    ignored by kinds with one size), the smooth-plus-prox form that pg, pg-ls
+    and fista run on, and the two-prox form of dr; dr_pair is None when the
+    kind has none, and then neither dr nor pdhg applies."""
+
+    spec: type
+    generate: Callable[[int, int | None, int], _Spec]
+    smooth: Callable[[_Spec], CompositeProblem]
+    dr_pair: Callable[[_Spec], CompositeProblem] | None
+
+
+# Entries call the module globals, not stored references, so patching a function reaches them.
+KINDS = {
+    "lasso": ProblemKind(
+        LassoSpec, lambda n, m, seed: gen_lasso(n, m, seed=seed),
+        lambda spec: lasso_composite_smooth(spec), lambda spec: lasso_dr_pair(spec),
+    ),
+    "boxqp": ProblemKind(
+        BoxQPSpec, lambda n, m, seed: gen_boxqp(n, seed=seed),
+        lambda spec: boxqp_composite(spec), lambda spec: boxqp_dr_pair(spec),
+    ),
+    "control": ProblemKind(
+        ControlSpec, lambda n, m, seed: gen_control(n, m, seed=seed),
+        lambda spec: control_composite(spec), lambda spec: boxqp_dr_pair(control_as_boxqp(spec)),
+    ),
+    "huber": ProblemKind(
+        HuberSpec, lambda n, m, seed: gen_huber(n, seed=seed),
+        lambda spec: huber_composite(spec), None,
+    ),
+}
+
+
+# --- JSON ---------------------------------------------------------------------
 
 
 def problem_to_json(spec) -> dict:
-    return spec.to_json()
+    """{"kind": ..., "params": {field: number or nested list}}, unset fields left out."""
+    params = {}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if value is not None:
+            params[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return {"kind": spec.kind, "params": params}
 
 
 def problem_from_json(data: dict):
-    """The spec that data describes; ValueError, naming the problem kind, on
-    a document that is not an object, or on missing or non-numeric fields."""
+    """The spec that data describes; a one-line ValueError naming the kind or
+    the field on anything malformed, including an spd field that fails its Cholesky."""
     if not isinstance(data, dict):
         raise ValueError(f"problem JSON must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in _SPEC_KINDS:
-        raise ValueError(f"unknown problem kind: {kind}")
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r:.40} (expected one of {', '.join(KINDS)})")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"{kind} problem: params must be an object")
-    fields = dataclasses.fields(_SPEC_KINDS[kind])
+    fields = dataclasses.fields(KINDS[kind].spec)
+    unknown = sorted(set(params) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"{kind} problem: unknown field(s) {', '.join(map(repr, unknown))}")
     missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in params]
     if missing:
         raise ValueError(f"{kind} problem: missing field(s) {', '.join(missing)}")
-    for name in ("alpha", "gamma"):
-        if name in params and (isinstance(params[name], bool) or not isinstance(params[name], Real)):
-            raise ValueError(f"{kind} problem: {name} must be a number, got {params[name]!r}")
-    return _SPEC_KINDS[kind](**{f.name: params[f.name] for f in fields if f.name in params})
+    spec = KINDS[kind].spec(**params)
+    for f in fields:
+        if f.metadata.get("spd"):
+            try:
+                np.linalg.cholesky(getattr(spec, f.name))
+            except np.linalg.LinAlgError:
+                raise ValueError(f"{kind} problem: {f.name} is not positive definite") from None
+    return spec

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -335,3 +336,71 @@ def test_string_alpha_exits_2(tmp_path, capsys):
     doc["params"]["alpha"] = "0.5"
     code, _, err = _solve_file(tmp_path, capsys, doc)
     _assert_one_line_error(code, err, "lasso problem", "alpha", "'0.5'")
+
+
+@pytest.mark.parametrize("var", ["PROXKIT_SEED", "PROXKIT_TOL", "PROXKIT_MAX_ITER"])
+def test_bad_environment_default_exits_2(var, capsys, monkeypatch):
+    monkeypatch.setenv(var, "abc")
+    code, _, err = run_main(["gen", "--problem", "lasso", "--n", "3"], capsys)
+    _assert_one_line_error(code, err, var, "'abc'")
+
+
+# --- malformed problem files -------------------------------------------------------
+
+_LASSO = {"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 2.0], "alpha": 0.5}
+_BOX = {"q": [[2.0, 0.0], [0.0, 1.0]], "c": [1.0, -1.0], "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+_CONTROL = {"s": [[1.0, 0.0]], "z": [1.0], "alpha": 0.1, "lo": -1.0, "hi": 1.0}
+_HUBER = {"b": [1.0, 2.0], "alpha": 1.0, "gamma": 0.5}
+
+# (name, kind, params, fragment the one-line message must contain)
+MALFORMED = [
+    ("ragged-a", "lasso", {**_LASSO, "a": [[1.0, 2.0], [3.0]]}, "lasso problem: a"),
+    ("dict-field", "huber", {**_HUBER, "b": {"x": 1}}, "huber problem: b"),
+    ("list-kind", ["lasso"], {}, "problem kind ['lasso']"),
+    ("indefinite-q", "boxqp", {**_BOX, "q": [[1.0, 0.0], [0.0, -1.0]]}, "boxqp problem: q"),
+    ("lo-length", "boxqp", {**_BOX, "lo": [-1.0, -1.0, -1.0]}, "boxqp problem: lo"),
+    ("x_true-length", "lasso", {**_LASSO, "x_true": [1.0]}, "lasso problem: x_true"),
+    ("unknown-field", "huber", {**_HUBER, "beta": 2.0}, "huber problem: unknown field(s) 'beta'"),
+    ("non-numeric-matrix", "control", {**_CONTROL, "s": [["a", "b"]]}, "control problem: s"),
+    ("empty-b", "huber", {**_HUBER, "b": []}, "huber problem: b"),
+]
+
+
+@pytest.mark.parametrize("solver", ["pg", "pg-ls", "fista", "dr", "pdhg"])
+@pytest.mark.parametrize("name,kind,params,fragment", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_problem_file_exits_2_with_one_line(
+    name, kind, params, fragment, solver, tmp_path, capsys
+):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": kind, "params": params}))
+    code, out, err = run_main(["solve", "--solver", solver, "--problem-file", str(path)], capsys)
+    _assert_one_line_error(code, err, fragment)
+    assert "Traceback" not in out and len(err.strip()) < 120, err
+
+
+def test_scalar_bounds_in_a_problem_file_broadcast(tmp_path, capsys):
+    _, out, _ = run_main(["gen", "--problem", "boxqp", "--n", "3", "--seed", "1"], capsys)
+    doc = json.loads(out)
+    doc["params"].update(lo=-0.5, hi=0.5)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_main(["solve", "--solver", "fista", "--problem-file", str(path)], capsys)
+    assert code == 0 and "converged" in out
+
+
+# sha256 of `proxkit gen --problem K --n 8 --seed 3` stdout, recorded before the spec
+# classes shared one JSON encoder.  The instances come from numpy's default_rng and,
+# for all but huber, a BLAS product, so another BLAS build may change their last bits.
+GEN_SHA256 = {
+    "lasso": "9a8741f17034cf496aa984fb4bb0a806ea2db6322f790c9bfa7c2d0d24fe0c2b",
+    "boxqp": "39e34fb3e0cb0604fb8e56a3f6f1bced402a01e94e506469e1d4ff913ce0a1f8",
+    "control": "6b551646a8a94d97ff7255c44c3e2eb9111d78b32836d93e17ecedb1efacb857",
+    "huber": "4b75a42eb20c2a512a05723561fb30bb3ec50e6526754c271bf94e03b13a7b8a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_SHA256))
+def test_gen_output_is_byte_identical_to_the_recorded_hash(kind, capsys):
+    code, out, _ = run_main(["gen", "--problem", kind, "--n", "8", "--seed", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[kind]

@@ -306,6 +306,17 @@ def test_quadratic_symmetry_check():
                 Quadratic(bad, np.zeros(6))
 
 
+def test_quadratic_rejects_nan_without_a_warning():
+    q = np.eye(3)
+    for i, j in ((0, 1), (2, 2)):
+        bad = q.copy()
+        bad[i, j] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Q must be symmetric$"):
+                Quadratic(bad, np.zeros(3))
+
+
 def test_catalog_entries_own_read_only_data():
     rng = np.random.default_rng(13)
     b0 = rng.standard_normal((5, 5))

@@ -14,8 +14,6 @@ from proxkit.linalg import (
     norm,
     op_norm,
     solve_spd,
-    vector_from_json,
-    vector_to_json,
 )
 
 
@@ -152,11 +150,6 @@ def test_solve_spd_rejects_near_singular_and_singular_blocks():
 def test_solve_spd_dimension_guard():
     with pytest.raises(DimensionMismatchError):
         solve_spd(np.eye(3), np.ones(2))
-
-
-def test_vector_json_roundtrip():
-    x = np.array([1.5, -2.25, 0.0])
-    npt.assert_array_equal(vector_from_json(vector_to_json(x)), x)
 
 
 # --- norm without numpy's wrapper ----------------------------------------------------

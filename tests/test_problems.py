@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from proxkit import problems
 from proxkit.problems import (
+    KINDS,
     BoxQPSpec,
     ControlSpec,
     HuberSpec,
@@ -255,3 +257,72 @@ def test_problem_json_roundtrip():
 def test_problem_json_unknown_kind():
     with pytest.raises(ValueError, match="unknown"):
         problem_from_json({"kind": "mystery"})
+
+
+# --- the registry --------------------------------------------------------------------
+
+
+def test_registry_generates_what_the_named_generators_do():
+    made = {
+        "lasso": gen_lasso(5, 7, seed=2),
+        "boxqp": gen_boxqp(5, seed=2),
+        "control": gen_control(5, 7, seed=2),
+        "huber": gen_huber(5, seed=2),
+    }
+    assert list(KINDS) == list(made)
+    for kind, entry in KINDS.items():
+        spec = entry.generate(5, 7, 2)
+        assert type(spec) is entry.spec and spec.kind == kind and spec.n == 5
+        assert problem_to_json(spec) == problem_to_json(made[kind])
+        assert entry.smooth(spec).smooth is not None
+        assert (entry.dr_pair is None) == (kind == "huber")
+
+
+def test_registry_calls_through_the_module_globals(monkeypatch):
+    # patching a module function (as a tracer does) must reach the registry
+    calls = []
+    for name in ("gen_boxqp", "boxqp_composite", "boxqp_dr_pair"):
+        real = getattr(problems, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(problems, name, counted)
+    spec = KINDS["boxqp"].generate(3, None, 0)
+    KINDS["boxqp"].smooth(spec)
+    KINDS["boxqp"].dr_pair(spec)
+    assert calls == ["gen_boxqp", "boxqp_composite", "boxqp_dr_pair"]
+
+
+def test_load_certifies_q_and_construction_does_not():
+    # the Cholesky runs once, at load, not on every spec built in memory
+    spec = BoxQPSpec(np.diag([1.0, -1.0]), np.ones(2), -1.0, 1.0)
+    npt.assert_array_equal(spec.lo, [-1.0, -1.0])
+    with pytest.raises(ValueError, match="^boxqp problem: q is not positive definite$"):
+        problem_from_json(problem_to_json(spec))
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"b": [1.0, np.nan]}, "huber problem: b entries must be finite"),
+        ({"b": [[1.0]]}, "huber problem: b must be a nonempty 1-d array"),
+        ({"alpha": True}, "huber problem: alpha must be a positive number"),
+        ({"gamma": -0.5}, "huber problem: gamma must be a positive number"),
+        ({"alpha": [1.0]}, "huber problem: alpha must be a positive number"),
+    ],
+)
+def test_load_names_the_bad_field(change, message):
+    params = {"b": [1.0], "alpha": 1.0, "gamma": 0.5, **change}
+    with pytest.raises(ValueError, match="^" + message):
+        problem_from_json({"kind": "huber", "params": params})
+
+
+def test_bounds_may_be_infinite_but_not_nan():
+    spec = BoxQPSpec(np.eye(2), np.ones(2), [-np.inf, -1.0], np.inf)
+    npt.assert_array_equal(spec.hi, [np.inf, np.inf])
+    with pytest.raises(ValueError, match="^boxqp problem: lo entries must not be NaN$"):
+        BoxQPSpec(np.eye(2), np.ones(2), [np.nan, -1.0], 1.0)
+    with pytest.raises(ValueError, match="^boxqp problem: need lo <= hi$"):
+        BoxQPSpec(np.eye(2), np.ones(2), 1.0, -1.0)
