@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__, functionals, problems
+from . import __version__, problems
 from .functionals import (
     BoxIndicator,
     BoxSupport,
@@ -46,7 +46,7 @@ from .functionals import (
     tilt,
     yosida,
 )
-from .linalg import LinearOperator, norm, op_norm
+from .linalg import norm, op_norm
 from .newton import l1_ssn, superlinear_diagnostic
 from .splitting import (
     CompositeProblem,
@@ -207,7 +207,8 @@ def _load_spec(args):
 
 
 def _solvers_for(kind: str) -> list:
-    """The solvers that apply to kind: all but dr and pdhg when it has no dr_pair."""
+    """The solvers that apply to the kind they run on (boxqp for a control
+    problem): all but dr and pdhg when it has no dr_pair."""
     return [s for s in SOLVERS if problems.KINDS[kind].dr_pair or s not in ("dr", "pdhg")]
 
 
@@ -474,7 +475,7 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     spec = problems.KINDS[args.problem].generate(args.n, args.m, args.seed)
     form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
-    solvers = _solvers_for(args.problem)
+    solvers = _solvers_for(form.kind)
     rows = []
     tmp = out = None
     if args.out is not None:

@@ -70,12 +70,13 @@ __all__ = [
 ]
 
 _ENUM_CAP = 12  # 3^12 is half a million linear solves; beyond that, refuse
+_FLOAT_MAX = float(np.finfo(float).max)  # a larger JSON integer does not fit a float
 
 
-def _param(*shape, default=dataclasses.MISSING, **flags):
+def _param(*shape, default=dataclasses.MISSING, bound=False):
     """A spec field of symbolic shape, e.g. ("m", "n"); () is a positive scalar.
-    Flags: bound (a scalar broadcasts, +-inf allowed), spd (Cholesky at load)."""
-    return dataclasses.field(default=default, metadata={"shape": shape, **flags})
+    A bound takes a scalar for all n entries and may be +-inf."""
+    return dataclasses.field(default=default, metadata={"shape": shape, "bound": bound})
 
 
 def _coerce(kind: str, f: dataclasses.Field, value, dims: dict):
@@ -84,14 +85,14 @@ def _coerce(kind: str, f: dataclasses.Field, value, dims: dict):
     where = f"{kind} problem: {f.name}"
     shape = f.metadata["shape"]
     if not shape:
-        if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value <= _FLOAT_MAX:
             raise ValueError(f"{where} must be a positive number, got {value!r:.40}")
         return float(value)
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} must be a rectangular array of numbers") from None
-    if f.metadata.get("bound"):
+    if f.metadata["bound"]:
         if arr.ndim == 0:
             arr = np.full(dims[shape[0]], float(arr))
         if np.isnan(arr).any():
@@ -118,7 +119,7 @@ class _Spec:
         dims: dict[str, int] = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is not None:
+            if value is not None or f.default is not None:  # only an optional field may be unset
                 setattr(self, f.name, _coerce(self.kind, f, value, dims))
         self.n = dims["n"]
         if hasattr(self, "lo") and np.any(self.lo > self.hi):
@@ -146,7 +147,7 @@ class BoxQPSpec(_Spec):
     """min 1/2 x'Qx + c'x subject to lo <= x <= hi, Q symmetric positive definite."""
 
     kind: ClassVar[str] = "boxqp"
-    q: np.ndarray = _param("n", "n", spd=True)
+    q: np.ndarray = _param("n", "n")
     c: np.ndarray = _param("n")
     lo: np.ndarray = _param("n", bound=True)
     hi: np.ndarray = _param("n", bound=True)
@@ -513,33 +514,31 @@ class ProblemKind:
     """One problem kind: its spec type, its seeded generator(n, m, seed) (m
     ignored by kinds with one size), the smooth-plus-prox form that pg, pg-ls
     and fista run on, and the two-prox form of dr; dr_pair is None when the
-    kind has none, and then neither dr nor pdhg applies."""
+    kind has none, and then neither dr nor pdhg applies.  Control has no forms
+    of its own: the solvers run its control_as_boxqp under the boxqp entry."""
 
     spec: type
     generate: Callable[[int, int | None, int], _Spec]
-    smooth: Callable[[_Spec], CompositeProblem]
+    smooth: Callable[[_Spec], CompositeProblem] | None
     dr_pair: Callable[[_Spec], CompositeProblem] | None
 
 
 # Entries call the module globals, not stored references, so patching a function reaches them.
-KINDS = {
-    "lasso": ProblemKind(
+KINDS = {entry.spec.kind: entry for entry in (
+    ProblemKind(
         LassoSpec, lambda n, m, seed: gen_lasso(n, m, seed=seed),
         lambda spec: lasso_composite_smooth(spec), lambda spec: lasso_dr_pair(spec),
     ),
-    "boxqp": ProblemKind(
+    ProblemKind(
         BoxQPSpec, lambda n, m, seed: gen_boxqp(n, seed=seed),
         lambda spec: boxqp_composite(spec), lambda spec: boxqp_dr_pair(spec),
     ),
-    "control": ProblemKind(
-        ControlSpec, lambda n, m, seed: gen_control(n, m, seed=seed),
-        lambda spec: control_composite(spec), lambda spec: boxqp_dr_pair(control_as_boxqp(spec)),
-    ),
-    "huber": ProblemKind(
+    ProblemKind(ControlSpec, lambda n, m, seed: gen_control(n, m, seed=seed), None, None),
+    ProblemKind(
         HuberSpec, lambda n, m, seed: gen_huber(n, seed=seed),
         lambda spec: huber_composite(spec), None,
     ),
-}
+)}
 
 
 # --- JSON ---------------------------------------------------------------------
@@ -557,7 +556,8 @@ def problem_to_json(spec) -> dict:
 
 def problem_from_json(data: dict):
     """The spec that data describes; a one-line ValueError naming the kind or
-    the field on anything malformed, including an spd field that fails its Cholesky."""
+    the field on anything malformed, including a boxqp q that fails its Cholesky
+    (control's S'S + alpha*I is positive definite for any alpha > 0)."""
     if not isinstance(data, dict):
         raise ValueError(f"problem JSON must be an object, got {type(data).__name__}")
     kind = data.get("kind")
@@ -574,10 +574,9 @@ def problem_from_json(data: dict):
     if missing:
         raise ValueError(f"{kind} problem: missing field(s) {', '.join(missing)}")
     spec = KINDS[kind].spec(**params)
-    for f in fields:
-        if f.metadata.get("spd"):
-            try:
-                np.linalg.cholesky(getattr(spec, f.name))
-            except np.linalg.LinAlgError:
-                raise ValueError(f"{kind} problem: {f.name} is not positive definite") from None
+    try:
+        if kind == "boxqp":
+            np.linalg.cholesky(spec.q)
+    except np.linalg.LinAlgError:
+        raise ValueError("boxqp problem: q is not positive definite") from None
     return spec

@@ -363,6 +363,11 @@ MALFORMED = [
     ("unknown-field", "huber", {**_HUBER, "beta": 2.0}, "huber problem: unknown field(s) 'beta'"),
     ("non-numeric-matrix", "control", {**_CONTROL, "s": [["a", "b"]]}, "control problem: s"),
     ("empty-b", "huber", {**_HUBER, "b": []}, "huber problem: b"),
+    ("null-alpha", "huber", {**_HUBER, "alpha": None}, "huber problem: alpha"),
+    ("null-a", "lasso", {**_LASSO, "a": None}, "lasso problem: a"),
+    ("null-lo", "boxqp", {**_BOX, "lo": None}, "boxqp problem: lo"),
+    ("huge-int-alpha", "lasso", {**_LASSO, "alpha": 10**400}, "lasso problem: alpha"),
+    ("huge-int-entry", "huber", {**_HUBER, "b": [1.0, 10**400]}, "huber problem: b"),
 ]
 
 

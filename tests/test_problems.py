@@ -274,6 +274,9 @@ def test_registry_generates_what_the_named_generators_do():
         spec = entry.generate(5, 7, 2)
         assert type(spec) is entry.spec and spec.kind == kind and spec.n == 5
         assert problem_to_json(spec) == problem_to_json(made[kind])
+        if kind == "control":  # the solvers run it as its control_as_boxqp
+            assert entry.smooth is None and entry.dr_pair is None
+            continue
         assert entry.smooth(spec).smooth is not None
         assert (entry.dr_pair is None) == (kind == "huber")
 
@@ -311,12 +314,21 @@ def test_load_certifies_q_and_construction_does_not():
         ({"alpha": True}, "huber problem: alpha must be a positive number"),
         ({"gamma": -0.5}, "huber problem: gamma must be a positive number"),
         ({"alpha": [1.0]}, "huber problem: alpha must be a positive number"),
+        ({"alpha": None}, "huber problem: alpha must be a positive number"),
+        ({"b": None}, "huber problem: b entries must be finite"),
     ],
 )
 def test_load_names_the_bad_field(change, message):
     params = {"b": [1.0], "alpha": 1.0, "gamma": 0.5, **change}
     with pytest.raises(ValueError, match="^" + message):
         problem_from_json({"kind": "huber", "params": params})
+
+
+def test_only_an_optional_field_may_be_null():
+    doc = {"kind": "lasso", "params": {"a": [[1.0]], "b": [1.0], "alpha": 1.0, "x_true": None}}
+    assert problem_from_json(doc).x_true is None
+    with pytest.raises(ValueError, match="^lasso problem: a entries must be finite$"):
+        LassoSpec(None, [1.0], 1.0)
 
 
 def test_bounds_may_be_infinite_but_not_nan():
