@@ -59,6 +59,13 @@ def _read_only(a) -> np.ndarray:
     return a
 
 
+def _symmetric(Q: np.ndarray) -> bool:
+    """Q equals Q.T exactly, or is finite and equal to it to 1e-12 relative roundoff."""
+    return np.array_equal(Q, Q.T) or bool(
+        np.isfinite(Q).all() and np.allclose(Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max()))
+    )
+
+
 def _feas_tol(bound):
     """Per-coordinate slack scaled to the bound's magnitude (0 slack for inf bounds)."""
     b = np.abs(np.asarray(bound, dtype=float))
@@ -365,12 +372,10 @@ class Quadratic(ProxFunctional):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DimensionMismatchError("Q must be square")
-        # a NaN fails array_equal; the finiteness test keeps it from allclose's NaN atol
-        if not np.array_equal(Q, Q.T) and not (
-            np.isfinite(Q).all()
-            and np.allclose(Q, Q.T, rtol=1e-12, atol=1e-12 * (1 + np.abs(Q).max()))
-        ):
+        if not _symmetric(Q):
             raise ValueError("Q must be symmetric")
+        if not np.isfinite(Q).all():
+            raise ValueError("Q must be finite")
         self.Q = _read_only(0.5 * (Q + Q.T))
         self.c = _read_only(as_vector(c))
         if self.c.size != Q.shape[0]:

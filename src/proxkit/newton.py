@@ -89,23 +89,23 @@ class NewtonSystem:
 
 
 def _masked_step(block, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSystem:
-    """The eliminated step for the system B; block(ix) returns B[ix] for an
-    np.ix_ pair, so only the active rows of B are ever formed.  A block
-    that solve_spd rejects is solved with the shift 0.1 ||rhs|| on its
-    diagonal."""
-    act = mask.active
-    pin = mask.pinned
-    s = np.empty_like(rhs)
-    s[pin] = rhs[pin]
+    """The eliminated step for the system B.  block(act) returns the fresh rows
+    B[act], the one gather of B per step; B_ap and B_aa are C-ordered column
+    selections of them (a Fortran-ordered rows[:, pin] sums in another order).
+    A B_aa that solve_spd rejects gets 0.1 ||rhs|| added to its diagonal."""
+    act, pin = mask.active, mask.pinned
+    s = rhs.copy()  # pinned rows: s_p = rhs_p
     if act.any():
-        r = rhs[act].copy()
+        rows = block(act)
+        r = rhs[act]
         if pin.any():
-            r -= block(np.ix_(act, pin)) @ s[pin]
-        b_aa = block(np.ix_(act, act))
+            r -= np.compress(pin, rows, axis=1) @ s[pin]
+        b_aa = np.compress(act, rows, axis=1)
         try:
             s[act] = solve_spd(b_aa, r)
         except SPDSolveError:
-            s[act] = solve_spd(b_aa + 0.1 * norm(rhs) * np.eye(r.size), r)
+            b_aa.flat[:: r.size + 1] += 0.1 * norm(rhs)
+            s[act] = solve_spd(b_aa, r)
     return NewtonSystem(mask, s)
 
 
@@ -226,7 +226,7 @@ def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
     def step(x, r):
         mask = NewtonDerivativeMask.threshold(w_of(x), thresh)
         H = hess_at(x)
-        return _masked_step(lambda ix: gamma * H[ix], mask, -r)
+        return _masked_step(lambda act: gamma * H[act], mask, -r)
 
     return ssn_solve(residual, step, x0, tol=tol, max_iter=max_iter, damped=damped)
 
@@ -251,8 +251,13 @@ def moreau_yosida_ssn(grad, hess, gamma: float, u0, tol: float = 1e-10,
     def step(u, r):
         mask = NewtonDerivativeMask.threshold(-grad_of(u), 1.0)
         H = hess_at(u)
-        # (rows == cols) is the identity's entries of the block
-        return _masked_step(lambda ix: (ix[0] == ix[1]) + H[ix] / gamma, mask, -r)
+
+        def block(act):  # I + H/gamma, one identity entry per active row
+            rows = H[act] / gamma
+            rows[np.arange(rows.shape[0]), np.flatnonzero(act)] += 1.0
+            return rows
+
+        return _masked_step(block, mask, -r)
 
     return ssn_solve(residual, step, u0, tol=tol, max_iter=max_iter, damped=damped)
 
@@ -281,7 +286,8 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
         raise ValueError("control_ssn: need lo <= hi")
     StS = S.T @ S
     Stz = S.T @ z
-    B = np.eye(n) + StS / alpha
+    B = StS / alpha
+    B.flat[:: n + 1] += 1.0
     x_start = np.zeros(n) if u0 is None else as_vector(u0)
 
     v_of = _last_value(lambda u: (Stz - StS @ u) / alpha)
@@ -291,7 +297,7 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
 
     def step(u, r):
         mask = NewtonDerivativeMask.interval(v_of(u), lo, hi)
-        return _masked_step(lambda ix: B[ix], mask, -r)
+        return _masked_step(lambda act: B[act], mask, -r)
 
     return ssn_solve(residual, step, x_start, tol=tol, max_iter=max_iter, damped=damped)
 

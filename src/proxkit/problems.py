@@ -33,6 +33,7 @@ from .functionals import (
     Quadratic,
     SquaredL2,
     Zero,
+    _symmetric,
     fenchel_young_gap,
     scale,
     shift,
@@ -556,7 +557,8 @@ def problem_to_json(spec) -> dict:
 
 def problem_from_json(data: dict):
     """The spec that data describes; a one-line ValueError naming the kind or
-    the field on anything malformed, including a boxqp q that fails its Cholesky
+    the field on anything malformed, including a boxqp q that Quadratic would
+    not take as symmetric or that fails its Cholesky, which reads one triangle
     (control's S'S + alpha*I is positive definite for any alpha > 0)."""
     if not isinstance(data, dict):
         raise ValueError(f"problem JSON must be an object, got {type(data).__name__}")
@@ -574,9 +576,11 @@ def problem_from_json(data: dict):
     if missing:
         raise ValueError(f"{kind} problem: missing field(s) {', '.join(missing)}")
     spec = KINDS[kind].spec(**params)
-    try:
-        if kind == "boxqp":
+    if kind == "boxqp":
+        if not _symmetric(spec.q):
+            raise ValueError("boxqp problem: q must be symmetric")
+        try:
             np.linalg.cholesky(spec.q)
-    except np.linalg.LinAlgError:
-        raise ValueError("boxqp problem: q is not positive definite") from None
+        except np.linalg.LinAlgError:
+            raise ValueError("boxqp problem: q is not positive definite") from None
     return spec

@@ -180,21 +180,19 @@ class CompositeProblem:
         if self.g is not None:
             self.g._check(x if self.a is None else self.a.apply(x))
 
-    def _objective(self, x: np.ndarray, smooth_x=None, ax=None) -> float:
-        """The objective at a vector that has already passed the checks;
-        smooth_x = smooth(x) and ax = Ax stand in for their values if known."""
+    def _objective(self, x: np.ndarray, smooth_x=None, fx=None, gax=None) -> float:
+        """The objective at a checked vector; smooth_x = smooth(x), fx = f(x)
+        and gax = g(Ax) stand in for their values if known."""
         total = 0.0
         if self.smooth is not None:
             total += float(self.smooth._value(x)) if smooth_x is None else smooth_x
         if self.f is not None:
-            v = self.f._value(x)
+            v = self.f._value(x) if fx is None else fx
             if v == math.inf:
                 return math.inf
             total += v
         if self.g is not None:
-            if ax is None:
-                ax = self.a.apply(x) if self.a is not None else x
-            v = self.g._value(ax)
+            v = self.g._value(x if self.a is None else self.a.apply(x)) if gax is None else gax
             if v == math.inf:
                 return math.inf
             total += v
@@ -427,8 +425,8 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
     column is the raw duality gap at (x^k, y^k).
 
     An iteration makes 3 matvecs: A xbar in the sweep, then A'y^{k+1} and
-    A x^{k+1}.  The trace row's objective and gap share that A x, and the
-    row's A'y is the one the next sweep starts from.
+    A x^{k+1}.  The trace row's objective and gap share that A x, f(x) and
+    g(Ax), and the row's A'y is the one the next sweep starts from.
     """
     _require(problem.f is not None, "primal_dual: problem.f is required")
     _require(problem.g is not None, "primal_dual: problem.g is required")
@@ -461,9 +459,8 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
 
     def row(s):
         x, y, aty = s
-        ax = x if a is None else a.apply(x)
-        gap = _duality_gap(f, g, fc, gc, x, y, ax, aty)
-        return x, problem._objective(x, ax=ax), gap
+        fx, gax = f._value(x), g._value(x if a is None else a.apply(x))
+        return x, problem._objective(x, fx=fx, gax=gax), _duality_gap(fx, gax, fc, gc, y, aty)
 
     (x, y, _), trace = _run(cfg, (x, y, aty), step, row, tau)
     return x, y, trace
@@ -486,13 +483,13 @@ def duality_gap(problem: CompositeProblem, x, y) -> float:
     fc._check(aty)
     gc = g.conjugate()
     gc._check(y)
-    return _duality_gap(f, g, fc, gc, x, y, x if a is None else a.apply(x), aty)
+    return _duality_gap(f._value(x), g._value(x if a is None else a.apply(x)), fc, gc, y, aty)
 
 
-def _duality_gap(f, g, fc, gc, x, y, ax, aty) -> float:
-    """The duality gap at a pair that has already passed the checks, given
-    the conjugates fc = f*, gc = g* and the products ax = Ax, aty = A'y."""
-    primal = f._value(x) + g._value(ax)
+def _duality_gap(fx, gax, fc, gc, y, aty) -> float:
+    """The duality gap at a checked pair (x, y), given fx = f(x), gax = g(Ax),
+    the conjugates fc = f*, gc = g* and the product aty = A'y."""
+    primal = fx + gax
     dual = -fc._value(-aty) - gc._value(y)
     return primal - dual
 

@@ -358,6 +358,8 @@ MALFORMED = [
     ("dict-field", "huber", {**_HUBER, "b": {"x": 1}}, "huber problem: b"),
     ("list-kind", ["lasso"], {}, "problem kind ['lasso']"),
     ("indefinite-q", "boxqp", {**_BOX, "q": [[1.0, 0.0], [0.0, -1.0]]}, "boxqp problem: q"),
+    ("asymmetric-q", "boxqp", {**_BOX, "q": [[2.0, 1.0], [0.0, 2.0]]},
+     "boxqp problem: q must be symmetric"),
     ("lo-length", "boxqp", {**_BOX, "lo": [-1.0, -1.0, -1.0]}, "boxqp problem: lo"),
     ("x_true-length", "lasso", {**_LASSO, "x_true": [1.0]}, "lasso problem: x_true"),
     ("unknown-field", "huber", {**_HUBER, "beta": 2.0}, "huber problem: unknown field(s) 'beta'"),

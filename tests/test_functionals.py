@@ -317,6 +317,17 @@ def test_quadratic_rejects_nan_without_a_warning():
                 Quadratic(bad, np.zeros(3))
 
 
+def test_quadratic_rejects_infinite_entries_without_a_warning():
+    for bad in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Q must be finite$"):
+                Quadratic(bad, np.zeros(2))
+    # an asymmetric Q with an infinite entry fails the symmetry test first
+    with pytest.raises(ValueError, match="^Q must be symmetric$"):
+        Quadratic([[1.0, np.inf], [0.0, 1.0]], np.zeros(2))
+
+
 def test_catalog_entries_own_read_only_data():
     rng = np.random.default_rng(13)
     b0 = rng.standard_normal((5, 5))

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import proxkit.newton as newton
+from proxkit.linalg import SPDSolveError, norm, solve_spd
 from proxkit.newton import (
     ContinuationSchedule,
     NewtonSystem,
@@ -550,3 +551,156 @@ def test_ssn_solve_stops_at_a_start_that_meets_tol():
 def test_ssn_solve_rejects_max_iter_zero():
     with pytest.raises(ValueError, match="max_iter must be at least 1"):
         ssn_solve(lambda x: x, lambda x, r: _toy_system(x, -x), np.ones(2), max_iter=0)
+
+
+# --- the step's assembly: one row gather against the np.ix_ formulation ----------------
+
+
+def _ix_step(B, act, rhs):
+    """The eliminated step with both blocks gathered by np.ix_ from the full B,
+    the formulation _masked_step must reproduce bit for bit; returns the step
+    and whether the active block needed the Levenberg-Marquardt shift."""
+    pin = ~act
+    s = np.empty_like(rhs)
+    s[pin] = rhs[pin]
+    shifted = False
+    if act.any():
+        r = rhs[act].copy()
+        if pin.any():
+            r -= B[np.ix_(act, pin)] @ s[pin]
+        b_aa = B[np.ix_(act, act)]
+        try:
+            s[act] = solve_spd(b_aa, r)
+        except SPDSolveError:
+            shifted = True
+            s[act] = solve_spd(b_aa + 0.1 * norm(rhs) * np.eye(r.size), r)
+    return s, shifted
+
+
+def _counted_step(B, act, rhs):
+    calls = []
+
+    def block(a):
+        calls.append(a.copy())
+        return B[a]
+
+    system = newton._masked_step(block, NewtonDerivativeMask(act), rhs)
+    return system.step, calls
+
+
+def _spd(n, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    return g @ g.T / n + 0.1 * np.eye(n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_masked_step_equals_the_ix_formulation_on_random_masks(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    B = _spd(n, seed)
+    rhs = rng.standard_normal(n)
+    act = rng.random(n) < rng.uniform(0.2, 0.8)
+    assert act.any() and not act.all()
+    step, calls = _counted_step(B, act, rhs)
+    ref, shifted = _ix_step(B, act, rhs)
+    assert np.array_equal(step, ref) and not shifted
+    assert len(calls) == 1 and np.array_equal(calls[0], act)
+
+
+def test_masked_step_with_an_empty_or_full_active_set():
+    n = 12
+    B = _spd(n, 3)
+    rhs = np.random.default_rng(3).standard_normal(n)
+    # nothing active: the step is rhs and B is never read
+    step, calls = _counted_step(B, np.zeros(n, bool), rhs)
+    assert np.array_equal(step, rhs) and step is not rhs and calls == []
+    # everything active: the step solves B s = rhs
+    act = np.ones(n, bool)
+    step, calls = _counted_step(B, act, rhs)
+    assert np.array_equal(step, _ix_step(B, act, rhs)[0]) and len(calls) == 1
+    npt.assert_allclose(B @ step, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_masked_step_equals_the_ix_formulation_on_the_shift_path(full):
+    # a rank-4 Gram matrix: any active block wider than 4 is singular
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 15))
+    B = a.T @ a
+    rhs = rng.standard_normal(15)
+    act = np.ones(15, bool) if full else rng.random(15) < 0.7
+    with pytest.raises(SPDSolveError):
+        solve_spd(B[np.ix_(act, act)], rhs[act])
+    step, calls = _counted_step(B, act, rhs)
+    ref, shifted = _ix_step(B, act, rhs)
+    assert shifted and np.array_equal(step, ref) and len(calls) == 1
+    assert np.isfinite(step).all()
+
+
+@pytest.fixture
+def steps_against_ix(monkeypatch):
+    """Check every _masked_step a solver makes against _ix_step on the matrix
+    the test expects, given as expected["B"], and count its block calls; returns
+    one (active size, pinned size, block calls, shifted) tuple per step."""
+    real = newton._masked_step
+    expected, seen = {}, []
+
+    def checked(block, mask, rhs):
+        calls = []
+
+        def counted(act):
+            calls.append(act)
+            return block(act)
+
+        system = real(counted, mask, rhs)
+        B = expected["B"]
+        assert np.array_equal(block(np.ones(rhs.size, bool)), B)
+        ref, shifted = _ix_step(B, mask.active, rhs)
+        assert np.array_equal(system.step, ref)
+        seen.append((int(mask.active.sum()), int(mask.pinned.sum()), len(calls), shifted))
+        return system
+
+    monkeypatch.setattr(newton, "_masked_step", checked)
+    return expected, seen
+
+
+def _assert_one_block_call_per_step(seen):
+    assert seen and all(calls == (n_act > 0) for n_act, _, calls, _ in seen)
+    assert any(n_act and n_pin for n_act, n_pin, _, _ in seen)
+
+
+@pytest.mark.parametrize("m", [40, 12])
+def test_l1_ssn_steps_equal_the_ix_formulation(steps_against_ix, m):
+    expected, seen = steps_against_ix
+    spec = gen_lasso(20, m, seed=5)
+    grad, hess = _lasso_pieces(spec)
+    gamma = 1.0 / np.linalg.norm(spec.a, 2) ** 2
+    expected["B"] = gamma * hess(None)
+    res = l1_ssn(grad, hess, spec.alpha, gamma, np.zeros(spec.n), tol=1e-12)
+    assert res.n_iter == len(seen)
+    _assert_one_block_call_per_step(seen)
+    # m < n: some active block has more columns than A has rows
+    assert any(s for *_, s in seen) == (m < spec.n)
+
+
+def test_moreau_yosida_ssn_steps_equal_the_ix_formulation(steps_against_ix):
+    expected, seen = steps_against_ix
+    spec = gen_lasso(16, 32, seed=4)
+    h = spec.a.T @ spec.a / spec.alpha
+    atb = spec.a.T @ spec.b / spec.alpha
+    for gamma in (1.0, 2.0**-6):
+        expected["B"] = (np.arange(16)[:, None] == np.arange(16)) + h / gamma
+        res = moreau_yosida_ssn(lambda u: h @ u - atb, h, gamma, np.zeros(16), tol=1e-12)
+        assert res.converged
+    _assert_one_block_call_per_step(seen)
+
+
+def test_control_ssn_steps_equal_the_ix_formulation(steps_against_ix):
+    expected, seen = steps_against_ix
+    spec = gen_control(24, 30, seed=2)
+    for alpha in (spec.alpha, 1e-3):
+        expected["B"] = np.eye(24) + spec.s.T @ spec.s / alpha
+        res = control_ssn(spec.s, spec.z, alpha, spec.lo, spec.hi, tol=1e-12)
+        assert res.converged
+    _assert_one_block_call_per_step(seen)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from proxkit import problems
+from proxkit.functionals import Quadratic
 from proxkit.problems import (
     KINDS,
     BoxQPSpec,
@@ -304,6 +305,18 @@ def test_load_certifies_q_and_construction_does_not():
     npt.assert_array_equal(spec.lo, [-1.0, -1.0])
     with pytest.raises(ValueError, match="^boxqp problem: q is not positive definite$"):
         problem_from_json(problem_to_json(spec))
+
+
+def test_load_rejects_an_asymmetric_q_that_cholesky_accepts():
+    # Cholesky reads the lower triangle only, which here is positive definite
+    params = {"q": [[2.0, 1.0], [0.0, 2.0]], "c": [1.0, 1.0], "lo": -1.0, "hi": 1.0}
+    doc = {"kind": "boxqp", "params": params}
+    with pytest.raises(ValueError, match="^boxqp problem: q must be symmetric$"):
+        problem_from_json(doc)
+    # an asymmetry Quadratic forgives loads, and Quadratic takes the result
+    params["q"] = [[2.0, 1.0], [1.0 + 1e-14, 2.0]]
+    spec = problem_from_json(doc)
+    Quadratic(spec.q, spec.c)
 
 
 @pytest.mark.parametrize(

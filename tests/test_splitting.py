@@ -619,6 +619,24 @@ def test_every_primal_dual_row_gap_is_the_public_gap_on_fresh_functionals(kind):
         assert _bits(trace.gap[k]) == _bits(duality_gap(build(), x, y))
 
 
+def test_boxqp_primal_dual_row_evaluates_each_quadratic_twice(monkeypatch):
+    # g(x) once for the objective and the gap together, g*(y) once for the gap
+    calls = []
+    real = Quadratic._value
+
+    def counted(self, x):
+        calls.append(self)
+        return real(self, x)
+
+    monkeypatch.setattr(Quadratic, "_value", counted)
+    build, x0, y0, step = _pdhg_case("boxqp")
+    prob = build()
+    _, _, trace = primal_dual(prob, x0, y0, SolverConfig(tau=step, sigma=step, max_iter=25))
+    assert len(trace) == 26
+    assert len(calls) == 2 * len(trace)
+    assert sum(q is prob.g for q in calls) == len(trace)
+
+
 @pytest.mark.parametrize("line_search", [True, False])
 def test_prox_gradient_evaluates_the_smooth_part_once_per_point(line_search, monkeypatch):
     spec = gen_lasso(10, 15, seed=5)
