@@ -7,8 +7,8 @@ Subcommands
   bench  run every applicable solver on one instance and tabulate
 
 Exit codes: 0 success, 2 usage or validation failure (always before any
-numerical work), 3 a solver that diverged or failed to converge, or a check
-suite that failed.
+numerical work) or an output directory that could not be written, 3 a solver
+that diverged or failed to converge, or a check suite that failed.
 
 Flags --seed, --tol, --max-iter, --out fall back to the environment
 variables PROXKIT_SEED, PROXKIT_TOL, PROXKIT_MAX_ITER, PROXKIT_OUT when the
@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -49,7 +50,6 @@ from .functionals import (
 from .linalg import norm, op_norm
 from .newton import l1_ssn, superlinear_diagnostic
 from .splitting import (
-    CompositeProblem,
     SolverConfig,
     douglas_rachford,
     dr_as_pdhg_check,
@@ -59,7 +59,8 @@ from .splitting import (
     proximal_point,
 )
 
-SOLVERS = ("pg", "pg-ls", "fista", "dr", "pdhg")
+# each solver and the problems.ProblemKind builder of the form it runs on
+SOLVERS = {"pg": "smooth", "pg-ls": "smooth", "fista": "smooth", "dr": "dr_pair", "pdhg": "split"}
 SUITES = ("moreau", "envelope", "rate", "fejer", "superlinear", "drpdhg", "all")
 
 
@@ -140,23 +141,34 @@ def build_parser() -> argparse.ArgumentParser:
 # --- output helpers -----------------------------------------------------------
 
 
-def _stage_out_dir(out: str):
-    """Reserve a staging directory that will be renamed onto `out` when done.
-
-    The rename is the atomic publish step; a crash mid-write leaves only a
-    .partial directory behind, never a half-filled `out`.
-    """
+def _check_out(out):
+    """out as an absolute path (None when not given); UsageError if it exists."""
+    if out is None:
+        return None
     out = os.path.abspath(out)
     if os.path.exists(out):
         raise UsageError(f"output directory already exists: {out}")
-    parent = os.path.dirname(out) or "."
-    os.makedirs(parent, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".partial-", dir=parent)
-    return tmp, out
+    return out
 
 
-def _publish(tmp: str, out: str):
-    os.rename(tmp, out)
+def _publish(out: str, files: dict):
+    """Write files, {name: CSV text or JSON document}, into a staging directory
+    beside out and rename it onto out.  The rename is the atomic publish step:
+    out is never seen half filled, and an error removes the staging directory."""
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=os.path.basename(out) + ".partial-", dir=os.path.dirname(out))
+    try:
+        for name, data in files.items():
+            if isinstance(data, str):
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(data)
+            else:
+                _write_json(os.path.join(tmp, name), data)
+        _check_out(out)  # again: os.rename silently replaces an empty directory
+        os.rename(tmp, out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _write_json(path: str, data):
@@ -168,26 +180,22 @@ def _write_json(path: str, data):
 
 
 def cmd_gen(args) -> int:
+    out = _check_out(args.out)
     spec = problems.KINDS[args.problem].generate(args.n, args.m, args.seed)
     doc = problems.problem_to_json(spec)
-    if args.out is None:
+    if out is None:
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         return 0
-    tmp, out = _stage_out_dir(args.out)
-    _write_json(os.path.join(tmp, "problem.json"), doc)
-    _write_json(
-        os.path.join(tmp, "manifest.json"),
-        {
-            "command": "gen",
-            "version": __version__,
-            "problem": args.problem,
-            "n": args.n,
-            "m": args.m,
-            "seed": args.seed,
-            "outputs": {"problem": "problem.json"},
-        },
-    )
-    _publish(tmp, out)
+    manifest = {
+        "command": "gen",
+        "version": __version__,
+        "problem": args.problem,
+        "n": args.n,
+        "m": args.m,
+        "seed": args.seed,
+        "outputs": {"problem": "problem.json"},
+    }
+    _publish(out, {"problem.json": doc, "manifest.json": manifest})
     print(f"wrote {out}/problem.json")
     return 0
 
@@ -207,52 +215,43 @@ def _load_spec(args):
 
 
 def _solvers_for(kind: str) -> list:
-    """The solvers that apply to the kind they run on (boxqp for a control
-    problem): all but dr and pdhg when it has no dr_pair."""
-    return [s for s in SOLVERS if problems.KINDS[kind].dr_pair or s not in ("dr", "pdhg")]
+    """The solvers whose form the kind's registry entry builds (boxqp's for control)."""
+    return [s for s, form in SOLVERS.items() if getattr(problems.KINDS[kind], form)]
 
 
 def _run_solver(spec, solver: str, args, smooth=None):
-    """Dispatch (spec, solver) to a configured run, a control spec given as its
-    control_as_boxqp; UsageError before any work when the solver does not
-    apply.  smooth, when given, is the instance's smooth-plus-prox form."""
-    entry = problems.KINDS[spec.kind]
-    x0 = np.zeros(spec.n)
-    if solver not in _solvers_for(spec.kind):
+    """Dispatch (spec, solver) to a configured run on its registry form, a control
+    spec given as its control_as_boxqp; UsageError before any work when the
+    solver does not apply.  smooth, when given, is the instance's smooth form."""
+    build = getattr(problems.KINDS[spec.kind], SOLVERS[solver])
+    if build is None:
         raise UsageError(f"solver {solver} does not apply to the {spec.kind} problem")
-
-    if solver in ("pg", "pg-ls", "fista"):
-        comp = smooth or entry.smooth(spec)
-        cfg = SolverConfig(gamma=args.gamma, tol=args.tol, max_iter=args.max_iter)
-        if solver == "fista":
-            return fista(comp, x0, cfg)
-        return prox_gradient(comp, x0, cfg, line_search=(solver == "pg-ls"))
+    x0 = np.zeros(spec.n)
 
     if solver == "dr":
         gamma = 1.0 if args.gamma is None else args.gamma
         cfg = SolverConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
-        return douglas_rachford(entry.dr_pair(spec), x0, cfg)
+        return douglas_rachford(build(spec), x0, cfg)
 
-    # pdhg
-    if spec.kind == "lasso":
-        comp = problems.lasso_composite_split(spec)
-        y0 = np.zeros(spec.a.shape[0])
-        anorm = op_norm(comp.a)
-    else:
-        # box side as f so the returned primal iterate is feasible
-        comp = CompositeProblem(
-            f=BoxIndicator(spec.lo, spec.hi), g=Quadratic(spec.q, spec.c)
-        )
-        y0 = np.zeros(spec.n)
-        anorm = 1.0
-    tau = args.tau if args.tau is not None else 0.9 / max(anorm, 1e-12)
-    sigma = args.sigma if args.sigma is not None else 0.9 / max(anorm, 1e-12)
-    cfg = SolverConfig(tau=tau, sigma=sigma, tol=args.tol, max_iter=args.max_iter)
-    x, _y, trace = primal_dual(comp, x0, y0, cfg)
-    return x, trace
+    if solver == "pdhg":
+        comp = build(spec)
+        step = 0.9 / max(op_norm(comp.a) if comp.a is not None else 1.0, 1e-12)
+        tau = step if args.tau is None else args.tau
+        sigma = step if args.sigma is None else args.sigma
+        cfg = SolverConfig(tau=tau, sigma=sigma, tol=args.tol, max_iter=args.max_iter)
+        y0 = np.zeros(comp.a.n_out if comp.a is not None else spec.n)
+        x, _y, trace = primal_dual(comp, x0, y0, cfg)
+        return x, trace
+
+    comp = smooth or build(spec)
+    cfg = SolverConfig(gamma=args.gamma, tol=args.tol, max_iter=args.max_iter)
+    if solver == "fista":
+        return fista(comp, x0, cfg)
+    return prox_gradient(comp, x0, cfg, line_search=(solver == "pg-ls"))
 
 
 def cmd_solve(args) -> int:
+    out = _check_out(args.out)
     spec, source = _load_spec(args)
     form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
     # a diverging run overflows on its way out; the trace reports that instead
@@ -272,40 +271,31 @@ def cmd_solve(args) -> int:
         f"after {trace.n_iter} iterations, objective {obj:.12g}, "
         f"optimality {kkt:.3e}"
     )
-    if args.out is not None:
-        tmp, out = _stage_out_dir(args.out)
-        trace.write_csv(os.path.join(tmp, "trace.csv"))
-        _write_json(
-            os.path.join(tmp, "solution.json"),
-            {
-                "x": [float(v) for v in x],
-                "objective": obj,
-                "kkt_residual": kkt,
-                "converged": trace.converged,
-                "iterations": trace.n_iter,
-            },
+    if out is not None:
+        summary = {
+            "objective": obj,
+            "kkt_residual": kkt,
+            "converged": trace.converged,
+            "iterations": trace.n_iter,
+        }
+        manifest = {
+            "command": "solve",
+            "version": __version__,
+            "problem": {"kind": spec.kind, "n": spec.n, "source": source},
+            "solver": args.solver,
+            "seed": args.seed,
+            "tol": args.tol,
+            "max_iter": args.max_iter,
+            "gamma": args.gamma,
+            "tau": args.tau,
+            "sigma": args.sigma,
+            **summary,
+            "outputs": {"trace": "trace.csv", "solution": "solution.json"},
+        }
+        solution = {"x": [float(v) for v in x], **summary}
+        _publish(
+            out, {"trace.csv": trace.to_csv(), "solution.json": solution, "manifest.json": manifest}
         )
-        _write_json(
-            os.path.join(tmp, "manifest.json"),
-            {
-                "command": "solve",
-                "version": __version__,
-                "problem": {"kind": spec.kind, "n": spec.n, "source": source},
-                "solver": args.solver,
-                "seed": args.seed,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-                "gamma": args.gamma,
-                "tau": args.tau,
-                "sigma": args.sigma,
-                "converged": trace.converged,
-                "iterations": trace.n_iter,
-                "objective": obj,
-                "kkt_residual": kkt,
-                "outputs": {"trace": "trace.csv", "solution": "solution.json"},
-            },
-        )
-        _publish(tmp, out)
         print(f"wrote {out}/trace.csv")
     return 0 if trace.converged else 3
 
@@ -473,13 +463,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    out = _check_out(args.out)
     spec = problems.KINDS[args.problem].generate(args.n, args.m, args.seed)
     form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
     solvers = _solvers_for(form.kind)
-    rows = []
-    tmp = out = None
-    if args.out is not None:
-        tmp, out = _stage_out_dir(args.out)
+    rows, files = [], {}
     ns = argparse.Namespace(**vars(args), gamma=None, tau=None, sigma=None)
     smooth = problems.KINDS[form.kind].smooth(form)
     for solver in solvers:
@@ -495,28 +483,25 @@ def cmd_bench(args) -> int:
                     trace.ms[-1] if trace.ms else 0.0,
                 )
             )
-        if tmp is not None:
-            trace.write_csv(os.path.join(tmp, f"trace_{solver}.csv"))
+        if out is not None:
+            files[f"trace_{solver}.csv"] = trace.to_csv()
     print(f"{'solver':8} {'iters':>6} {'conv':>5} {'objective':>20} {'optimality':>12} {'ms':>9}")
     for r in rows:
         print(f"{r[0]:8} {r[1]:>6d} {r[2]:>5} {r[3]:>20.12g} {r[4]:>12.3e} {r[5]:>9.2f}")
-    if tmp is not None:
-        _write_json(
-            os.path.join(tmp, "manifest.json"),
-            {
-                "command": "bench",
-                "version": __version__,
-                "problem": args.problem,
-                "n": args.n,
-                "m": args.m,
-                "seed": args.seed,
-                "tol": args.tol,
-                "max_iter": args.max_iter,
-                "solvers": solvers,
-                "outputs": {s: f"trace_{s}.csv" for s in solvers},
-            },
-        )
-        _publish(tmp, out)
+    if out is not None:
+        files["manifest.json"] = {
+            "command": "bench",
+            "version": __version__,
+            "problem": args.problem,
+            "n": args.n,
+            "m": args.m,
+            "seed": args.seed,
+            "tol": args.tol,
+            "max_iter": args.max_iter,
+            "solvers": solvers,
+            "outputs": {s: f"trace_{s}.csv" for s in solvers},
+        }
+        _publish(out, files)
         print(f"wrote {out}/")
     return 0 if all(r[2] == "yes" for r in rows) else 3
 
@@ -535,10 +520,7 @@ def main(argv=None) -> int:
         # the parser reads the PROXKIT_* defaults, so a bad one is a UsageError here
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

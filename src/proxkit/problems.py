@@ -513,15 +513,17 @@ def huber_composite(spec: HuberSpec) -> CompositeProblem:
 @dataclass(frozen=True)
 class ProblemKind:
     """One problem kind: its spec type, its seeded generator(n, m, seed) (m
-    ignored by kinds with one size), the smooth-plus-prox form that pg, pg-ls
-    and fista run on, and the two-prox form of dr; dr_pair is None when the
-    kind has none, and then neither dr nor pdhg applies.  Control has no forms
-    of its own: the solvers run its control_as_boxqp under the boxqp entry."""
+    ignored by kinds with one size), and a builder for each solver form, None
+    where the kind has none: smooth, the smooth-plus-prox form of pg, pg-ls and
+    fista; dr_pair, the two-prox form of dr; split, the f(x) + g(Ax) form of
+    pdhg.  Control has no forms of its own: the solvers run its
+    control_as_boxqp under the boxqp entry."""
 
     spec: type
     generate: Callable[[int, int | None, int], _Spec]
     smooth: Callable[[_Spec], CompositeProblem] | None
     dr_pair: Callable[[_Spec], CompositeProblem] | None
+    split: Callable[[_Spec], CompositeProblem] | None
 
 
 # Entries call the module globals, not stored references, so patching a function reaches them.
@@ -529,15 +531,20 @@ KINDS = {entry.spec.kind: entry for entry in (
     ProblemKind(
         LassoSpec, lambda n, m, seed: gen_lasso(n, m, seed=seed),
         lambda spec: lasso_composite_smooth(spec), lambda spec: lasso_dr_pair(spec),
+        lambda spec: lasso_composite_split(spec),
     ),
     ProblemKind(
         BoxQPSpec, lambda n, m, seed: gen_boxqp(n, seed=seed),
         lambda spec: boxqp_composite(spec), lambda spec: boxqp_dr_pair(spec),
+        # the box as f, so pdhg's primal iterate is feasible; A is the identity
+        lambda spec: CompositeProblem(
+            f=BoxIndicator(spec.lo, spec.hi), g=Quadratic(spec.q, spec.c)
+        ),
     ),
-    ProblemKind(ControlSpec, lambda n, m, seed: gen_control(n, m, seed=seed), None, None),
+    ProblemKind(ControlSpec, lambda n, m, seed: gen_control(n, m, seed=seed), None, None, None),
     ProblemKind(
         HuberSpec, lambda n, m, seed: gen_huber(n, seed=seed),
-        lambda spec: huber_composite(spec), None,
+        lambda spec: huber_composite(spec), None, None,
     ),
 )}
 

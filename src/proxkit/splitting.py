@@ -149,10 +149,6 @@ class IterTrace:
             lines.append(",".join([str(k)] + [_csv_num(col[i]) for col in cols]))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 @dataclass
 class CompositeProblem:

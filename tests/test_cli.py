@@ -218,6 +218,21 @@ def test_bench_table(tmp_path, capsys):
     assert (out_dir / "trace_pdhg.csv").is_file()
 
 
+def test_applicable_solvers_follow_the_registry_builders(capsys, monkeypatch):
+    # a kind without a split form loses pdhg, and nothing else
+    import dataclasses
+
+    from proxkit import problems
+
+    entry = dataclasses.replace(problems.KINDS["boxqp"], split=None)
+    monkeypatch.setitem(problems.KINDS, "boxqp", entry)
+    code, out, _ = run_main(["bench", "--problem", "boxqp", "--n", "4", "--tol", "1e-9"], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["pg", "pg-ls", "fista", "dr"]
+    code, _, err = run_main(["solve", "--solver", "pdhg", "--problem", "boxqp", "--n", "4"], capsys)
+    assert code == 2 and "does not apply" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,6 +294,77 @@ def test_control_converts_to_its_box_qp_once_per_command(argv, capsys, monkeypat
     monkeypatch.setattr(problems, "control_as_boxqp", counted)
     assert run_main(argv, capsys)[0] == 0
     assert len(calls) == 1
+
+
+# --- output directories ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("existing", ["dir", "empty string"])
+def test_solve_refuses_existing_out_before_solving(existing, tmp_path, capsys, monkeypatch):
+    # '' resolves to the working directory, which always exists
+    monkeypatch.chdir(tmp_path)
+    out = "run" if existing == "dir" else ""
+    (tmp_path / "run").mkdir()
+    code, stdout, err = run_main(
+        ["solve", "--solver", "fista", "--problem", "lasso", "--n", "5", "--out", out], capsys
+    )
+    assert code == 2 and "exists" in err
+    assert stdout == ""  # no result line: the solver never ran
+
+
+def _failing(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+ARGVS = {
+    "gen": ["gen", "--problem", "lasso", "--n", "4"],
+    "solve": ["solve", "--solver", "pdhg", "--problem", "boxqp", "--n", "4"],
+    "bench": ["bench", "--problem", "lasso", "--n", "4"],
+}
+DISK_FULL = ("_write_json", _failing(OSError("disk full")))
+NUMERICAL_FAILURE = ("fista", _failing(RuntimeError("line search underflow")))
+
+
+@pytest.mark.parametrize(
+    "argv,patch,code",
+    [
+        pytest.param(ARGVS["bench"] + ["--tol", "-1"], None, 2, id="bench-bad-tol"),
+        pytest.param(ARGVS["bench"], NUMERICAL_FAILURE, 3, id="bench-runtime-error"),
+        pytest.param(ARGVS["gen"], DISK_FULL, 2, id="gen-write-fails"),
+        pytest.param(ARGVS["solve"], DISK_FULL, 2, id="solve-write-fails"),
+        pytest.param(ARGVS["bench"], DISK_FULL, 2, id="bench-write-fails"),
+    ],
+)
+def test_handled_error_leaves_no_staging_directory(
+    argv, patch, code, tmp_path, capsys, monkeypatch
+):
+    from proxkit import cli
+
+    if patch is not None:
+        monkeypatch.setattr(cli, *patch)
+    assert run_main(argv + ["--out", str(tmp_path / "out")], capsys)[0] == code
+    assert list(tmp_path.iterdir()) == []  # neither out nor a *.partial-* staging directory
+
+
+@pytest.mark.parametrize("command", sorted(ARGVS))
+def test_out_created_while_writing_is_not_replaced(command, tmp_path, capsys, monkeypatch):
+    # os.rename silently replaces an empty directory, so publish checks again
+    from proxkit import cli
+
+    out = tmp_path / "out"
+    write_json = cli._write_json
+
+    def racing_write(path, data):
+        out.mkdir(exist_ok=True)
+        write_json(path, data)
+
+    monkeypatch.setattr(cli, "_write_json", racing_write)
+    code, _, err = run_main(ARGVS[command] + ["--out", str(out)], capsys)
+    assert code == 2 and "exists" in err
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 # --- process-level entry point -----------------------------------------------------

@@ -282,6 +282,22 @@ def test_registry_generates_what_the_named_generators_do():
         assert (entry.dr_pair is None) == (kind == "huber")
 
 
+def test_registry_split_forms_are_the_primal_dual_templates():
+    # pdhg's f(x) + g(Ax): lasso's coupled form; boxqp with the box as f so
+    # the primal iterate stays feasible, and A the identity
+    lasso = gen_lasso(4, 6, seed=1)
+    comp, ref = KINDS["lasso"].split(lasso), lasso_composite_split(lasso)
+    assert np.array_equal(comp.a.matrix, lasso.a)
+    x = np.linspace(-1.0, 1.0, 4)
+    assert comp.objective(x) == ref.objective(x)
+    qp = gen_boxqp(4, seed=1)
+    comp = KINDS["boxqp"].split(qp)
+    assert comp.a is None and comp.f.kind == "BoxIndicator" and comp.g.kind == "Quadratic"
+    x = np.clip(x, qp.lo, qp.hi)
+    assert comp.objective(x) == pytest.approx(qp.objective(x), rel=1e-12)
+    assert KINDS["huber"].split is None and KINDS["control"].split is None
+
+
 def test_registry_calls_through_the_module_globals(monkeypatch):
     # patching a module function (as a tracer does) must reach the registry
     calls = []
