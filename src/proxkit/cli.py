@@ -12,13 +12,15 @@ that diverged or failed to converge, or a check suite that failed.
 
 Flags --seed, --tol, --max-iter, --out fall back to the environment
 variables PROXKIT_SEED, PROXKIT_TOL, PROXKIT_MAX_ITER, PROXKIT_OUT when the
-flag is absent.  Trace CSV files are byte-identical across runs except for
+flag is absent.  check writes no files, so it takes no --out and ignores
+PROXKIT_OUT.  Trace CSV files are byte-identical across runs except for
 the wall-time column.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -68,43 +70,36 @@ class UsageError(Exception):
     """Bad arguments or inconsistent inputs; maps to exit code 2."""
 
 
-def _env_default(var: str, cast, fallback):
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise UsageError(f"bad value for {var}: {raw!r}") from exc
+# each common flag: its environment variable, type, value when both are absent, and help
+_COMMON = {
+    "seed": ("PROXKIT_SEED", int, 0, "rng seed"),
+    "tol": ("PROXKIT_TOL", float, 1e-8, "stopping tolerance"),
+    "max_iter": ("PROXKIT_MAX_ITER", int, 5000, "iteration cap"),
+    "out": ("PROXKIT_OUT", str, None, "output directory, created atomically; must not exist"),
+}
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=_env_default("PROXKIT_SEED", int, 0),
-        help="rng seed (env PROXKIT_SEED)",
-    )
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=_env_default("PROXKIT_TOL", float, 1e-8),
-        help="stopping tolerance (env PROXKIT_TOL)",
-    )
-    p.add_argument(
-        "--max-iter",
-        type=int,
-        default=_env_default("PROXKIT_MAX_ITER", int, 5000),
-        help="iteration cap (env PROXKIT_MAX_ITER)",
-    )
-    p.add_argument(
-        "--out",
-        default=_env_default("PROXKIT_OUT", str, None),
-        help="output directory, created atomically (env PROXKIT_OUT)",
-    )
+def _add_common(p: argparse.ArgumentParser, names=tuple(_COMMON)):
+    """The common flags; each defaults to None, for _fill_from_environment."""
+    for name in names:
+        var, cast, _, text = _COMMON[name]
+        p.add_argument("--" + name.replace("_", "-"), type=cast, help=f"{text} (env {var})")
 
 
+def _fill_from_environment(args):
+    """Set each common flag left unset to its environment variable or fallback."""
+    for name, (var, cast, fallback, _) in _COMMON.items():
+        if hasattr(args, name) and getattr(args, name) is None:
+            raw = os.environ.get(var)
+            try:
+                setattr(args, name, fallback if raw is None else cast(raw))
+            except ValueError:
+                raise UsageError(f"bad value for {var}: {raw!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(prog="proxkit", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"proxkit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -128,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run an invariant suite")
     c.add_argument("--suite", choices=SUITES, required=True)
-    _add_common(c)
+    _add_common(c, ("seed", "tol", "max_iter"))  # check writes no files
 
     b = sub.add_parser("bench", help="run all applicable solvers on one instance")
     b.add_argument("--problem", choices=tuple(problems.KINDS), required=True)
@@ -517,8 +512,8 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
     }
     try:
-        # the parser reads the PROXKIT_* defaults, so a bad one is a UsageError here
         args = build_parser().parse_args(argv)
+        _fill_from_environment(args)
         return handlers[args.command](args)
     except (UsageError, ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

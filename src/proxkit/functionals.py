@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, as_vector, inner, norm
+from .linalg import DimensionMismatchError, as_vector, inner, norm, spd_inverse
 
 __all__ = [
     "ProxFunctional",
@@ -359,11 +359,12 @@ class L2BallIndicator(ProxFunctional):
 class Quadratic(ProxFunctional):
     """F(x) = 1/2 x'Qx + c'x + d with Q symmetric positive semidefinite.
 
-    Q and c are read-only copies of the inputs, which makes both caches
-    sound.  prox applies the explicit inverse of I + gamma*Q to
-    x - gamma*c; the inverse is cached for the last gamma, since solvers
-    hold gamma fixed.  conjugate needs Q nonsingular; Q is inverted once,
-    on the first call.
+    Q and c are read-only copies of the inputs (a Q symmetric to roundoff is
+    averaged with its transpose), which makes both caches sound.  prox
+    applies the inverse of I + gamma*Q, cached for the last gamma since
+    solvers hold gamma fixed, to x - gamma*c; conjugate inverts Q once, on
+    the first call.  Both inverses come from spd_inverse, which raises
+    SPDSolveError on an indefinite I + gamma*Q or a singular Q.
     """
 
     kind = "Quadratic"
@@ -372,11 +373,13 @@ class Quadratic(ProxFunctional):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise DimensionMismatchError("Q must be square")
-        if not _symmetric(Q):
-            raise ValueError("Q must be symmetric")
+        if not np.array_equal(Q, Q.T):
+            if not _symmetric(Q):
+                raise ValueError("Q must be symmetric")
+            Q = 0.5 * Q + 0.5 * Q.T
         if not np.isfinite(Q).all():
             raise ValueError("Q must be finite")
-        self.Q = _read_only(0.5 * (Q + Q.T))
+        self.Q = _read_only(Q)
         self.c = _read_only(as_vector(c))
         if self.c.size != Q.shape[0]:
             raise DimensionMismatchError("c does not match Q")
@@ -387,15 +390,20 @@ class Quadratic(ProxFunctional):
     def _value(self, x):
         return 0.5 * float(x @ (self.Q @ x)) + float(self.c @ x) + self.d
 
+    def _value_and_gradient(self, x):
+        """(F(x), grad F(x)) from one product Q x, bit-identical to the two apart."""
+        p = self.Q @ x
+        return 0.5 * float(x @ p) + float(self.c @ x) + self.d, p + self.c
+
     def _prox(self, gamma, x):
         if self._prox_cache is None or self._prox_cache[0] != gamma:
-            M = np.eye(self.expected_dim) + gamma * self.Q
-            self._prox_cache = (gamma, np.linalg.inv(M))
+            M = gamma * self.Q
+            M.flat[:: self.expected_dim + 1] += 1.0
+            self._prox_cache = (gamma, spd_inverse(M))
         return self._prox_cache[1] @ (x - gamma * self.c)
 
     def _conjugate(self):
-        Qinv = np.linalg.inv(self.Q)
-        Qinv = 0.5 * (Qinv + Qinv.T)
+        Qinv = spd_inverse(self.Q)
         ic = Qinv @ self.c
         return Quadratic(Qinv, -ic, 0.5 * float(self.c @ ic) - self.d)
 

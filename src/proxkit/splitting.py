@@ -52,12 +52,15 @@ class SmoothFn:
     """Differentiable term given by value and gradient callables.
 
     lipschitz, when supplied, is a Lipschitz constant for the gradient and
-    feeds default step sizes (gamma = 1/L).
+    feeds default step sizes (gamma = 1/L).  value_and_gradient returns both
+    at one point, bit for bit, from shared work such as one matrix product;
+    it defaults to calling the two, and prox_gradient calls only it.
     """
 
-    def __init__(self, value, gradient, lipschitz: float | None = None):
+    def __init__(self, value, gradient, lipschitz: float | None = None, value_and_gradient=None):
         self._value = value
         self._gradient = gradient
+        self._value_and_gradient = value_and_gradient or (lambda x: (float(value(x)), gradient(x)))
         if lipschitz is not None and not (lipschitz > 0):
             raise ValueError("lipschitz must be positive when given")
         self.lipschitz = lipschitz
@@ -290,15 +293,15 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
 
 def _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k):
     """Backtrack gamma until the quadratic upper bound holds at the new point;
-    returns (x_next, gamma, smooth(x_next))."""
+    returns (x_next, gamma, smooth(x_next), its gradient)."""
     slack = 1e-12 * (1.0 + abs(fx))
     while True:
         x_next = g._prox(gamma, x - gamma * grad)
         d = x_next - x
         bound = fx + float(grad @ d) + float(d @ d) / (2.0 * gamma) + slack
-        f_next = float(smooth._value(x_next))
+        f_next, grad_next = smooth._value_and_gradient(x_next)
         if f_next <= bound:
-            return x_next, gamma, f_next
+            return x_next, gamma, f_next, grad_next
         gamma *= 0.5
         if gamma < 1e-18 * gamma0:
             raise RuntimeError(
@@ -319,26 +322,26 @@ def prox_gradient(
     With line_search=True the step is halved until the smooth part satisfies
     its quadratic upper bound at the trial point, and each iteration restarts
     from min(2*previous, initial).  Fixed-step mode needs gamma <= 1/L for
-    the descent guarantee.  The line search's value of the smooth part at
-    the accepted point serves both the trace row and the next iteration.
+    the descent guarantee.  One value_and_gradient per new point serves the
+    line search, the trace row and the next step.
     """
     smooth, g, gamma0, x = _gradient_start("prox_gradient", problem, x0, cfg)
 
     def step(s, k):
-        x, gamma, fx = s
-        grad = smooth._gradient(x)
+        x, gamma, fx, grad = s
         if line_search:
             gamma = min(2.0 * gamma, gamma0)
-            x_next, gamma, fx = _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k)
+            x_next, gamma, fx, grad = _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k)
         else:
             x_next = g._prox(gamma, x - gamma * grad)
-        return (x_next, gamma, fx), norm(x - x_next) / gamma, gamma
+            fx, grad = smooth._value_and_gradient(x_next)
+        return (x_next, gamma, fx, grad), norm(x - x_next) / gamma, gamma
 
     def row(s):
         return s[0], problem._objective(s[0], s[2]), math.nan
 
-    fx = float(smooth._value(x)) if line_search else None
-    (x, _, _), trace = _run(cfg, (x, gamma0, fx), step, row, gamma0, x_ref)
+    state = (x, gamma0, *smooth._value_and_gradient(x))
+    (x, *_), trace = _run(cfg, state, step, row, gamma0, x_ref)
     return x, trace
 
 

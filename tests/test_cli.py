@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -189,6 +190,41 @@ def test_check_suites_pass(suite, capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_check_takes_no_out(tmp_path, capsys, monkeypatch):
+    # check writes no files: --out is a usage error, and PROXKIT_OUT does not apply
+    out_dir = tmp_path / "chk"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "moreau", "--out", str(out_dir)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    monkeypatch.setenv("PROXKIT_OUT", str(out_dir))
+    code, out, _ = run_main(["check", "--suite", "moreau", "--seed", "0"], capsys)
+    assert code == 0 and "PASS" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run_main(["gen", "--problem", "lasso", "--n", "3"], capsys)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setenv("PROXKIT_SEED", "5")  # the environment is still read per call
+    code, out, _ = run_main(["gen", "--problem", "lasso", "--n", "3"], capsys)
+    assert code == 0 and built == []
+    assert out == run_main(["gen", "--problem", "lasso", "--n", "3", "--seed", "5"], capsys)[1]
+
+
+def test_flag_wins_over_a_bad_environment_default(capsys, monkeypatch):
+    monkeypatch.setenv("PROXKIT_SEED", "abc")
+    code, _, err = run_main(["gen", "--problem", "lasso", "--n", "3", "--seed", "1"], capsys)
+    assert code == 0 and err == ""
 
 
 def test_check_all_runs_every_suite(capsys):

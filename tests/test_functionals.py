@@ -35,7 +35,7 @@ from proxkit.functionals import (
     value,
     yosida,
 )
-from proxkit.linalg import DimensionMismatchError
+from proxkit.linalg import DimensionMismatchError, SPDSolveError
 
 
 # --- closed-form prox values ------------------------------------------------
@@ -326,6 +326,29 @@ def test_quadratic_rejects_infinite_entries_without_a_warning():
     # an asymmetric Q with an infinite entry fails the symmetry test first
     with pytest.raises(ValueError, match="^Q must be symmetric$"):
         Quadratic([[1.0, np.inf], [0.0, 1.0]], np.zeros(2))
+
+
+def test_quadratic_keeps_an_exactly_symmetric_q_without_overflow():
+    # 0.5 * (Q + Q.T) overflows 2e308 to inf; an exactly symmetric Q is kept as given
+    big = [[1e308, 0.0], [0.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = Quadratic(big, np.zeros(2))
+        assert np.array_equal(q.Q, big)
+        assert q.value([0.0, 1.0]) == 0.5
+
+
+def test_quadratic_prox_refuses_an_indefinite_resolvent():
+    q = Quadratic(np.diag([1.0, -3.0]), np.zeros(2))
+    npt.assert_allclose(q.prox(0.1, [1.0, 1.0]), [1 / 1.1, 1 / 0.7])  # I + 0.1 Q is PD
+    with pytest.raises(SPDSolveError):
+        q.prox(1.0, [1.0, 1.0])  # I + Q = diag(2, -2)
+
+
+@pytest.mark.parametrize("qm", [np.diag([2.0, 0.0]), np.ones((2, 2))])
+def test_quadratic_conjugate_refuses_a_singular_q(qm):
+    with pytest.raises(SPDSolveError):
+        Quadratic(qm, np.ones(2)).conjugate()
 
 
 def test_catalog_entries_own_read_only_data():

@@ -14,6 +14,7 @@ from proxkit.linalg import (
     norm,
     op_norm,
     solve_spd,
+    spd_inverse,
 )
 
 
@@ -150,6 +151,60 @@ def test_solve_spd_rejects_near_singular_and_singular_blocks():
 def test_solve_spd_dimension_guard():
     with pytest.raises(DimensionMismatchError):
         solve_spd(np.eye(3), np.ones(2))
+
+
+# --- the SPD inverse from the Cholesky factor ----------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 400])
+def test_spd_inverse_matches_numpy_inverse_and_is_symmetric(n):
+    # sizes at, around and past the 64-row triangular leaf
+    rng = np.random.default_rng(n)
+    b0 = rng.standard_normal((n, n))
+    mat = b0 @ b0.T / n + np.eye(n)
+    inv = spd_inverse(mat)
+    ref = np.linalg.inv(mat)
+    assert np.array_equal(inv, inv.T)
+    assert np.linalg.norm(inv - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("kappa", [1e4, 1e8, 1e12])
+def test_spd_inverse_residual_is_within_four_times_numpy_inverse(n, kappa):
+    rng = np.random.default_rng(n)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mat = (u * np.logspace(0, -np.log10(kappa), n)) @ u.T
+    mat = 0.5 * mat + 0.5 * mat.T
+    eye = np.eye(n)
+    inv = spd_inverse(mat)
+    assert np.array_equal(inv, inv.T)
+    ours = np.linalg.norm(mat @ inv - eye)
+    assert ours <= 4.0 * np.linalg.norm(mat @ np.linalg.inv(mat) - eye)
+
+
+def _leading_leaf_pd_but_indefinite():
+    rng = np.random.default_rng(5)
+    b0 = rng.standard_normal((100, 100))
+    mat = b0 @ b0.T / 100 + np.eye(100)
+    mat[90:, 90:] -= 50.0 * np.eye(10)
+    # the recursion's first leaf at n = 100 is the leading 50 x 50 block
+    assert np.linalg.eigvalsh(mat[:50, :50])[0] > 0.0 > np.linalg.eigvalsh(mat)[0]
+    return mat
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.diag([1.0, -1.0]),
+        np.ones((2, 2)),  # singular PSD: the second pivot is exactly 0
+        np.diag(np.r_[np.ones(99), 0.0]),
+        _leading_leaf_pd_but_indefinite(),
+    ],
+    ids=["indefinite", "singular-2x2", "singular-100", "leaf-pd-but-indefinite"],
+)
+def test_spd_inverse_rejects_what_is_not_positive_definite(mat):
+    with pytest.raises(SPDSolveError, match="not positive definite"):
+        spd_inverse(mat)
 
 
 # --- norm without numpy's wrapper ----------------------------------------------------

@@ -14,10 +14,13 @@ from proxkit.functionals import (
     scale,
     shift,
 )
-from proxkit.linalg import DimensionMismatchError, LinearOperator, op_norm
+from proxkit.linalg import DimensionMismatchError, LinearOperator, norm, op_norm
 from proxkit.problems import (
+    boxqp_composite,
     gen_boxqp,
+    gen_huber,
     gen_lasso,
+    huber_composite,
     lasso_composite_smooth,
     lasso_composite_split,
     lasso_dr_pair,
@@ -669,3 +672,135 @@ def test_prox_gradient_evaluates_the_smooth_part_once_per_point(line_search, mon
         # one value per trace row, each at a new iterate
         assert calls["prox"] == trace.n_iter
         assert calls["value"] == len(trace)
+
+
+# --- prox_gradient: one smooth-term evaluation per point -----------------------------
+
+
+_PG_SIZES = {"lasso": 10, "boxqp": 8, "huber": 12}
+
+
+def _pg_case(kind):
+    """(spec, smooth-plus-prox problem) of the given kind, freshly built."""
+    n = _PG_SIZES[kind]
+    if kind == "lasso":
+        spec = gen_lasso(n, 15, seed=5)
+        return spec, lasso_composite_smooth(spec)
+    if kind == "boxqp":
+        spec = gen_boxqp(n, seed=4)
+        return spec, boxqp_composite(spec)
+    spec = gen_huber(n, seed=2)
+    return spec, huber_composite(spec)
+
+
+def _reference_prox_gradient(problem, x0, gamma0, cfg, line_search):
+    """prox_gradient as two separate callables: the smooth value at each new
+    point, its gradient at the start of each step.  Returns (x, rows)."""
+    smooth, g = problem.smooth, problem.g
+    x, gamma = x0.copy(), gamma0
+    fx = float(smooth._value(x))
+    rows = [(0, problem.objective(x), math.inf, gamma0)]
+    for k in range(1, cfg.max_iter + 1):
+        grad = smooth._gradient(x)
+        if line_search:
+            gamma = min(2.0 * gamma, gamma0)
+            while True:
+                x_next = g._prox(gamma, x - gamma * grad)
+                d = x_next - x
+                slack = 1e-12 * (1.0 + abs(fx))
+                bound = fx + float(grad @ d) + float(d @ d) / (2.0 * gamma) + slack
+                f_next = float(smooth._value(x_next))
+                if f_next <= bound:
+                    break
+                gamma *= 0.5
+        else:
+            x_next = g._prox(gamma, x - gamma * grad)
+            f_next = float(smooth._value(x_next))
+        res = norm(x - x_next) / gamma
+        x, fx = x_next, f_next
+        rows.append((k, problem.objective(x), res, gamma))
+        if res <= cfg.tol:
+            break
+    return x, rows
+
+
+def _pg_config(smooth, line_search):
+    # from 8/L the line search backtracks; its 1e-12 slack stalls it near 1e-7
+    gamma = (8.0 if line_search else 1.0) / smooth.lipschitz
+    return SolverConfig(gamma=gamma, tol=1e-6 if line_search else 1e-10, max_iter=400)
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("kind", ["lasso", "boxqp", "huber"])
+def test_prox_gradient_is_bit_identical_to_separate_value_and_gradient(kind, line_search):
+    _, problem = _pg_case(kind)
+    cfg = _pg_config(problem.smooth, line_search)
+    x0 = np.zeros(_PG_SIZES[kind])
+    x, trace = prox_gradient(problem, x0, cfg, line_search=line_search)
+    x_ref, rows = _reference_prox_gradient(problem, x0, cfg.gamma, cfg, line_search)
+    assert trace.n_iter > 5
+    assert np.array_equal(x, x_ref)
+    assert list(zip(trace.iters, trace.objective, trace.residual, trace.step)) == rows
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("kind", ["lasso", "boxqp", "huber"])
+def test_prox_gradient_calls_value_and_gradient_once_per_point(kind, line_search, monkeypatch):
+    _, base = _pg_case(kind)
+    calls = {"value": 0, "gradient": 0, "value_and_gradient": 0, "prox": 0}
+    smooth = SmoothFn(
+        _counted(calls, "value", base.smooth._value),
+        _counted(calls, "gradient", base.smooth._gradient),
+        base.smooth.lipschitz,
+        value_and_gradient=_counted(calls, "value_and_gradient", base.smooth._value_and_gradient),
+    )
+    monkeypatch.setattr(base.g, "_prox", _counted(calls, "prox", base.g._prox))
+    prob = CompositeProblem(smooth=smooth, g=base.g)
+    cfg = _pg_config(smooth, line_search)
+    _, trace = prox_gradient(prob, np.zeros(_PG_SIZES[kind]), cfg, line_search=line_search)
+    assert trace.n_iter > 5
+    # one evaluation per trial point (one prox each) plus row 0's; the one
+    # gradient call is the entry check of its shape
+    assert calls["value_and_gradient"] == calls["prox"] + 1
+    assert (calls["value"], calls["gradient"]) == (0, 1)
+    if line_search:
+        assert calls["prox"] > trace.n_iter
+    else:
+        assert calls["prox"] == trace.n_iter
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("kind, per_point", [("lasso", 2), ("boxqp", 1)])
+def test_prox_gradient_products_per_iteration(kind, per_point, line_search, monkeypatch):
+    spec, prob = _pg_case(kind)
+    calls = {"product": 0, "prox": 0}
+
+    class Counting(np.ndarray):
+        """A matrix that counts its products; they return plain arrays."""
+
+        def __matmul__(self, other):
+            calls["product"] += 1
+            return self.view(np.ndarray) @ other
+
+    if kind == "lasso":
+        spec.a = spec.a.view(Counting)  # the smooth term reads spec.a per call
+    else:
+        quad = prob.smooth._value_and_gradient.__self__
+        monkeypatch.setattr(quad, "Q", quad.Q.view(Counting))
+    monkeypatch.setattr(prob.g, "_prox", _counted(calls, "prox", prob.g._prox))
+    cfg = _pg_config(prob.smooth, line_search)
+    _, trace = prox_gradient(prob, np.zeros(spec.n), cfg, line_search=line_search)
+    assert trace.n_iter > 5
+    if not line_search:
+        assert calls["prox"] == trace.n_iter
+    # per_point products at each trial point, at x0 for row 0 and at x0 for
+    # the entry check of the gradient's shape
+    assert calls["product"] == per_point * (calls["prox"] + 2)
