@@ -10,11 +10,11 @@ Exit codes: 0 success, 2 usage or validation failure (always before any
 numerical work) or an output directory that could not be written, 3 a solver
 that diverged or failed to converge, or a check suite that failed.
 
-Flags --seed, --tol, --max-iter, --out fall back to the environment
-variables PROXKIT_SEED, PROXKIT_TOL, PROXKIT_MAX_ITER, PROXKIT_OUT when the
-flag is absent.  check writes no files, so it takes no --out and ignores
-PROXKIT_OUT.  Trace CSV files are byte-identical across runs except for
-the wall-time column.
+Common flags fall back to environment variables when absent: --seed
+(PROXKIT_SEED) on every command, --out (PROXKIT_OUT) on gen, solve and
+bench, --tol (PROXKIT_TOL) and --max-iter (PROXKIT_MAX_ITER) on solve and
+bench.  A command ignores the variables of flags it does not take.  Trace
+CSV files are byte-identical across runs except for the wall-time column.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .splitting import (
 
 # each solver and the problems.ProblemKind builder of the form it runs on
 SOLVERS = {"pg": "smooth", "pg-ls": "smooth", "fista": "smooth", "dr": "dr_pair", "pdhg": "split"}
-SUITES = ("moreau", "envelope", "rate", "fejer", "superlinear", "drpdhg", "all")
 
 
 class UsageError(Exception):
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--problem", choices=tuple(problems.KINDS), required=True)
     g.add_argument("--n", type=int, default=8)
     g.add_argument("--m", type=int, default=None)
-    _add_common(g)
+    _add_common(g, ("seed", "out"))  # gen runs no solver
 
     s = sub.add_parser("solve", help="solve an instance with one splitting solver")
     s.add_argument("--solver", choices=SOLVERS, required=True)
@@ -123,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run an invariant suite")
     c.add_argument("--suite", choices=SUITES, required=True)
-    _add_common(c, ("seed", "tol", "max_iter"))  # check writes no files
+    _add_common(c, ("seed",))  # each suite fixes its own controls and writes no files
 
     b = sub.add_parser("bench", help="run all applicable solvers on one instance")
     b.add_argument("--problem", choices=tuple(problems.KINDS), required=True)
@@ -369,7 +368,7 @@ def _suite_rate(seed: int):
     )
     jstar = spec.objective(ref.x)
     x0 = np.zeros(20)
-    cfg = SolverConfig(gamma=gamma, tol=1e-16, max_iter=500, store_iterates=True)
+    cfg = SolverConfig(gamma=gamma, tol=1e-16, max_iter=500)
     _, trace = prox_gradient(comp, x0, cfg)
     d0 = norm(x0 - ref.x) ** 2
     worst = -math.inf
@@ -425,7 +424,7 @@ def _suite_drpdhg(seed: int):
         f = Quadratic(bmat @ bmat.T / n + 0.4 * np.eye(n), rng.standard_normal(n))
         g = scale(L1(), 0.5 + float(rng.uniform()))
         gamma = float(2.0 ** rng.integers(-2, 3))
-        dev = dr_as_pdhg_check(f, g, rng.standard_normal(n), gamma, n_iter=50)
+        dev = dr_as_pdhg_check(f, g, rng.standard_normal(n), gamma)
         worst = max(worst, dev)
     return "splitting equivalence deviation", worst, 1e-10
 
@@ -438,6 +437,7 @@ _SUITE_FNS = {
     "superlinear": _suite_superlinear,
     "drpdhg": _suite_drpdhg,
 }
+SUITES = (*_SUITE_FNS, "all")
 
 
 def cmd_check(args) -> int:

@@ -13,6 +13,8 @@ and a gap coming out below the roundoff floor raises instead of propagating.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .linalg import DimensionMismatchError, as_vector, inner, norm, spd_inverse
@@ -81,10 +83,15 @@ class ProxFunctional:
     call and returns that same object on every later call; catalog entries
     own read-only copies of their data, so the memo cannot go stale.
     ``expected_dim`` is None for dimension-agnostic kinds.
+
+    ``_params`` names the constructor's arguments in order as (JSON key,
+    attribute) pairs; ``params()`` (so JSON and structural comparison) and
+    ``functional_from_json`` read it.
     """
 
     kind = "abstract"
     expected_dim: int | None = None
+    _params: tuple[tuple[str, str], ...] = ()
     _conj: "ProxFunctional | None" = None
 
     def _check(self, x) -> np.ndarray:
@@ -119,7 +126,7 @@ class ProxFunctional:
 
     # --- serialization -------------------------------------------------
     def params(self) -> dict:
-        return {}
+        return {key: _json_value(getattr(self, attr)) for key, attr in self._params}
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": self.params()}
@@ -133,6 +140,17 @@ class ProxFunctional:
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params().items())
         return f"{type(self).__name__}({ps})"
+
+
+def _json_value(v):
+    """A parameter as JSON: arrays as (nested) lists, functionals as documents."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, ProxFunctional):
+        return v.to_json()
+    if isinstance(v, list):
+        return [_json_value(p) for p in v]
+    return v
 
 
 def _params_close(a, b, tol) -> bool:
@@ -213,6 +231,8 @@ class L2Norm(ProxFunctional):
 
 
 def _as_bounds(lo, hi):
+    """(lo, hi, dimension) of a box: read-only bounds, and the length of a
+    1-d bound (None when both are scalars)."""
     lo_a = np.asarray(lo, dtype=float)
     hi_a = np.asarray(hi, dtype=float)
     if lo_a.ndim > 1 or hi_a.ndim > 1:
@@ -223,7 +243,8 @@ def _as_bounds(lo, hi):
         raise ValueError("need lo <= hi per coordinate")
     if np.all(np.isinf(lo_a) & (lo_a > 0)) or np.all(np.isinf(hi_a) & (hi_a < 0)):
         raise ValueError("empty box")
-    return _read_only(lo_a), _read_only(hi_a)
+    dim = lo_a.size if lo_a.ndim == 1 else hi_a.size if hi_a.ndim == 1 else None
+    return _read_only(lo_a), _read_only(hi_a), dim
 
 
 class BoxIndicator(ProxFunctional):
@@ -232,13 +253,10 @@ class BoxIndicator(ProxFunctional):
     are read-only copies, so the slackened bounds are computed once."""
 
     kind = "BoxIndicator"
+    _params = (("lo", "lo"), ("hi", "hi"))
 
     def __init__(self, lo, hi):
-        self.lo, self.hi = _as_bounds(lo, hi)
-        if self.lo.ndim == 1:
-            self.expected_dim = self.lo.size
-        elif self.hi.ndim == 1:
-            self.expected_dim = self.hi.size
+        self.lo, self.hi, self.expected_dim = _as_bounds(lo, hi)
         self._lo_slack = self.lo - _feas_tol(self.lo)
         self._hi_slack = self.hi + _feas_tol(self.hi)
 
@@ -252,9 +270,6 @@ class BoxIndicator(ProxFunctional):
     def _conjugate(self):
         return BoxSupport(self.lo, self.hi)
 
-    def params(self):
-        return {"lo": _num_or_list(self.lo), "hi": _num_or_list(self.hi)}
-
 
 class BoxSupport(ProxFunctional):
     """Support function of the box [lo, hi]: sum_i sup_{t in [lo_i,hi_i]} t*y_i.
@@ -264,13 +279,10 @@ class BoxSupport(ProxFunctional):
     """
 
     kind = "BoxSupport"
+    _params = (("lo", "lo"), ("hi", "hi"))
 
     def __init__(self, lo, hi):
-        self.lo, self.hi = _as_bounds(lo, hi)
-        if self.lo.ndim == 1:
-            self.expected_dim = self.lo.size
-        elif self.hi.ndim == 1:
-            self.expected_dim = self.hi.size
+        self.lo, self.hi, self.expected_dim = _as_bounds(lo, hi)
 
     def _value(self, x):
         if (((x > 0.0) & np.isinf(self.hi)) | ((x < 0.0) & np.isinf(self.lo))).any():
@@ -289,14 +301,12 @@ class BoxSupport(ProxFunctional):
     def _conjugate(self):
         return BoxIndicator(self.lo, self.hi)
 
-    def params(self):
-        return {"lo": _num_or_list(self.lo), "hi": _num_or_list(self.hi)}
-
 
 class InfBallIndicator(ProxFunctional):
     """Indicator of {x : ||x||_inf <= radius}; radius 0 gives the origin."""
 
     kind = "InfBallIndicator"
+    _params = (("radius", "radius"),)
 
     def __init__(self, radius: float):
         r = float(radius)
@@ -318,14 +328,12 @@ class InfBallIndicator(ProxFunctional):
             return L1()
         return Scaled(self.radius, L1())
 
-    def params(self):
-        return {"radius": self.radius}
-
 
 class L2BallIndicator(ProxFunctional):
     """Indicator of {x : ||x||_2 <= radius}; prox is radial projection."""
 
     kind = "L2BallIndicator"
+    _params = (("radius", "radius"),)
 
     def __init__(self, radius: float):
         r = float(radius)
@@ -352,9 +360,6 @@ class L2BallIndicator(ProxFunctional):
             return L2Norm()
         return Scaled(self.radius, L2Norm())
 
-    def params(self):
-        return {"radius": self.radius}
-
 
 class Quadratic(ProxFunctional):
     """F(x) = 1/2 x'Qx + c'x + d with Q symmetric positive semidefinite.
@@ -368,6 +373,7 @@ class Quadratic(ProxFunctional):
     """
 
     kind = "Quadratic"
+    _params = (("q", "Q"), ("c", "c"), ("d", "d"))
 
     def __init__(self, Q, c, d: float = 0.0):
         Q = np.asarray(Q, dtype=float)
@@ -413,13 +419,6 @@ class Quadratic(ProxFunctional):
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.Q @ x + self.c
 
-    def params(self):
-        return {
-            "q": [[float(v) for v in row] for row in self.Q],
-            "c": [float(v) for v in self.c],
-            "d": self.d,
-        }
-
 
 class Scaled(ProxFunctional):
     """alpha * F for alpha > 0.
@@ -430,6 +429,7 @@ class Scaled(ProxFunctional):
     """
 
     kind = "Scaled"
+    _params = (("alpha", "alpha"), ("inner", "inner"))
     _wrappable = ("SquaredL2", "L1", "L2Norm")
 
     def __init__(self, alpha: float, inner_f: ProxFunctional):
@@ -456,14 +456,12 @@ class Scaled(ProxFunctional):
             return InfBallIndicator(self.alpha)
         return L2BallIndicator(self.alpha)
 
-    def params(self):
-        return {"alpha": self.alpha, "inner": self.inner.to_json()}
-
 
 class Shifted(ProxFunctional):
     """F(. - x0): the graph of F translated to sit at x0."""
 
     kind = "Shifted"
+    _params = (("x0", "x0"), ("inner", "inner"))
 
     def __init__(self, x0, inner_f: ProxFunctional):
         self.x0 = _read_only(as_vector(x0))
@@ -482,14 +480,12 @@ class Shifted(ProxFunctional):
         # sup <y,x> - F(x-x0) = F*(y) + <y,x0>
         return Tilted(self.inner.conjugate(), self.x0)
 
-    def params(self):
-        return {"x0": [float(v) for v in self.x0], "inner": self.inner.to_json()}
-
 
 class Tilted(ProxFunctional):
     """F + <v, .>: a linear tilt; arises as the conjugate of Shifted."""
 
     kind = "Tilted"
+    _params = (("inner", "inner"), ("v", "v"))
 
     def __init__(self, inner_f: ProxFunctional, v):
         self.v = _read_only(as_vector(v))
@@ -511,9 +507,6 @@ class Tilted(ProxFunctional):
         # sup <y,x> - F(x) - <v,x> = F*(y - v)
         return Shifted(self.v, self.inner.conjugate())
 
-    def params(self):
-        return {"v": [float(t) for t in self.v], "inner": self.inner.to_json()}
-
 
 class SeparableSum(ProxFunctional):
     """F(x) = sum_i f_i(x_i) with one scalar catalog entry per coordinate.
@@ -522,6 +515,7 @@ class SeparableSum(ProxFunctional):
     """
 
     kind = "SeparableSum"
+    _params = (("pieces", "pieces"),)
 
     def __init__(self, pieces):
         self.pieces = list(pieces)
@@ -548,15 +542,6 @@ class SeparableSum(ProxFunctional):
 
     def _conjugate(self):
         return SeparableSum([p.conjugate() for p in self.pieces])
-
-    def params(self):
-        return {"pieces": [p.to_json() for p in self.pieces]}
-
-
-def _num_or_list(b: np.ndarray):
-    if b.ndim == 0:
-        return float(b)
-    return [float(v) for v in b]
 
 
 # --- normalizing factories ----------------------------------------------
@@ -774,23 +759,28 @@ def functional_to_json(F: ProxFunctional) -> dict:
 
 
 def functional_from_json(data: dict) -> ProxFunctional:
-    if data["kind"] not in _FROM_JSON:
+    """The catalog entry a functional_to_json document describes.  A Scaled
+    document goes through scale(), so it comes back normalized; a key left
+    out takes its constructor default, if the constructor has one."""
+    cls = _KINDS.get(data["kind"])
+    if cls is None:
         raise ValueError(f"unknown functional kind: {data['kind']}")
-    return _FROM_JSON[data["kind"]](data.get("params", {}))
+    params = data.get("params", {})
+    args = [
+        _from_json_value(params[key])
+        for (key, _), arg in zip(cls._params, inspect.signature(cls).parameters.values())
+        if key in params or arg.default is arg.empty
+    ]
+    return scale(args[1], args[0]) if cls is Scaled else cls(*args)
 
 
-_FROM_JSON = {
-    "Zero": lambda p: Zero(),
-    "SquaredL2": lambda p: SquaredL2(),
-    "L1": lambda p: L1(),
-    "L2Norm": lambda p: L2Norm(),
-    "BoxIndicator": lambda p: BoxIndicator(p["lo"], p["hi"]),
-    "BoxSupport": lambda p: BoxSupport(p["lo"], p["hi"]),
-    "InfBallIndicator": lambda p: InfBallIndicator(p["radius"]),
-    "L2BallIndicator": lambda p: L2BallIndicator(p["radius"]),
-    "Quadratic": lambda p: Quadratic(p["q"], p["c"], p.get("d", 0.0)),
-    "Scaled": lambda p: scale(functional_from_json(p["inner"]), p["alpha"]),
-    "Shifted": lambda p: Shifted(p["x0"], functional_from_json(p["inner"])),
-    "Tilted": lambda p: Tilted(functional_from_json(p["inner"]), p["v"]),
-    "SeparableSum": lambda p: SeparableSum([functional_from_json(q) for q in p["pieces"]]),
-}
+def _from_json_value(v):
+    """A JSON parameter as its constructor takes it: documents as functionals."""
+    if isinstance(v, dict):
+        return functional_from_json(v)
+    if isinstance(v, list) and v and isinstance(v[0], dict):
+        return [functional_from_json(p) for p in v]
+    return v
+
+
+_KINDS = {cls.kind: cls for cls in ProxFunctional.__subclasses__()}

@@ -33,6 +33,7 @@ from .functionals import (
     Quadratic,
     SquaredL2,
     Zero,
+    _json_value,
     _symmetric,
     fenchel_young_gap,
     scale,
@@ -561,11 +562,8 @@ KINDS = {entry.spec.kind: entry for entry in (
 
 def problem_to_json(spec) -> dict:
     """{"kind": ..., "params": {field: number or nested list}}, unset fields left out."""
-    params = {}
-    for f in dataclasses.fields(spec):
-        value = getattr(spec, f.name)
-        if value is not None:
-            params[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    values = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    params = {k: _json_value(v) for k, v in values.items() if v is not None}
     return {"kind": spec.kind, "params": params}
 
 

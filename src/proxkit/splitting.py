@@ -6,10 +6,11 @@ solvers share one trace format so runs can be compared column by column, and
 every stopping rule is a fixed-point residual of the iteration map rather
 than an objective difference.
 
-Inputs are validated once, at solver entry: the start point is coerced and
-checked finite, each functional's dimension is checked against it, a smooth
-term's gradient at the start point must have the iterate's shape, and step
-sizes become floats.  Each solver then supplies a step kernel to one shared
+Inputs are validated once, at solver entry, by ``_start``: the problem
+slots and step sizes a solver needs must be set, the start point is coerced
+and checked finite, each functional's dimension is checked against it, and
+step sizes become floats.  The first gradient a method computes must be
+finite and of the iterate's shape.  Each solver then supplies a step kernel to one shared
 loop, ``_run``, which owns trace rows (row 0 included) and their wall
 clock, the Fejer distances and stored iterates, and both stopping rules;
 the semismooth Newton driver, ``newton.ssn_solve``, runs on it too.  The
@@ -159,7 +160,7 @@ class CompositeProblem:
 
     Solvers use the slots they need: gradient methods take smooth and g,
     the two-prox methods take f and g, and the primal-dual method couples
-    f and g through a.  Unused slots stay None.
+    f and g through a.  A solver refuses a set slot that it does not use.
     """
 
     smooth: SmoothFn | None = None
@@ -198,36 +199,40 @@ class CompositeProblem:
         return total
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValueError(msg)
-
-
-def _start(problem: CompositeProblem, x0) -> np.ndarray:
-    """A validated copy of x0 that every part of problem accepts."""
+def _start(name: str, problem: CompositeProblem, x0, cfg, slots: str, steps=()):
+    """[x, *steps]: a copy of x0 that every part of problem accepts, then the
+    cfg step sizes named in steps as floats (a smooth problem's gamma
+    defaults to 1/L).  slots names the problem slots the solver reads: each
+    must be set, except a (unset means the identity), and no other may be."""
+    slots = slots.split()
+    for slot in slots:
+        if slot != "a" and getattr(problem, slot) is None:
+            raise ValueError(f"{name}: problem.{slot} is required")
+    for slot in ("smooth", "f", "g", "a"):
+        if slot not in slots and getattr(problem, slot) is not None:
+            what = "coupling operator" if slot == "a" else f"problem.{slot}"
+            raise ValueError(f"{name}: {what} not supported")
+    sizes = []
+    for step in steps:
+        size = getattr(cfg, step)
+        if size is None and "smooth" in slots:
+            if problem.smooth.lipschitz is None:
+                raise ValueError(f"{name}: need cfg.gamma or smooth.lipschitz")
+            size = 1.0 / problem.smooth.lipschitz
+        if size is None:
+            raise ValueError(f"{name}: cfg.{step} is required")
+        sizes.append(float(size))
     x = as_vector(x0).copy()
     problem._check_point(x)
-    if problem.smooth is not None:
-        grad = problem.smooth.gradient(x)
-        if grad.shape != x.shape:
-            raise DimensionMismatchError(
-                f"gradient has shape {grad.shape}, iterate has shape {x.shape}"
-            )
-    return x
+    return [x, *sizes]
 
 
-def _gradient_start(name: str, problem: CompositeProblem, x0, cfg: SolverConfig):
-    """(smooth, g, gamma, x) for a gradient method; gamma defaults to 1/L."""
-    _require(problem.g is not None, f"{name}: problem.g is required")
-    _require(problem.smooth is not None, f"{name}: problem.smooth is required")
-    gamma = cfg.gamma
-    if gamma is None:
-        _require(
-            problem.smooth.lipschitz is not None,
-            f"{name}: need cfg.gamma or smooth.lipschitz",
-        )
-        gamma = 1.0 / problem.smooth.lipschitz
-    return problem.smooth, problem.g, float(gamma), _start(problem, x0)
+def _check_gradient(grad, x: np.ndarray):
+    """Raise unless grad, the first gradient a method computes, is a finite
+    vector of the iterate's shape."""
+    shape = as_vector(grad).shape
+    if shape != x.shape:
+        raise DimensionMismatchError(f"gradient has shape {shape}, iterate has shape {x.shape}")
 
 
 def _run(cfg: SolverConfig, state, step, row, size: float, ref=None, res=math.inf):
@@ -280,9 +285,7 @@ def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
     Returns (x, trace).  When x_ref is given the trace records the distance
     to it at every iterate, which for a minimizer must be nonincreasing.
     """
-    _require(cfg.gamma is not None, "proximal_point: cfg.gamma is required")
-    gamma = float(cfg.gamma)
-    x = g._check(x0).copy()
+    x, gamma = _start("proximal_point", CompositeProblem(g=g), x0, cfg, "g", ("gamma",))
 
     def step(x, k):
         x_next = g._prox(gamma, x)
@@ -325,7 +328,8 @@ def prox_gradient(
     the descent guarantee.  One value_and_gradient per new point serves the
     line search, the trace row and the next step.
     """
-    smooth, g, gamma0, x = _gradient_start("prox_gradient", problem, x0, cfg)
+    x, gamma0 = _start("prox_gradient", problem, x0, cfg, "smooth g", ("gamma",))
+    smooth, g = problem.smooth, problem.g
 
     def step(s, k):
         x, gamma, fx, grad = s
@@ -340,8 +344,9 @@ def prox_gradient(
     def row(s):
         return s[0], problem._objective(s[0], s[2]), math.nan
 
-    state = (x, gamma0, *smooth._value_and_gradient(x))
-    (x, *_), trace = _run(cfg, state, step, row, gamma0, x_ref)
+    fx, grad = smooth._value_and_gradient(x)
+    _check_gradient(grad, x)
+    (x, *_), trace = _run(cfg, (x, gamma0, fx, grad), step, row, gamma0, x_ref)
     return x, trace
 
 
@@ -352,13 +357,17 @@ def fista(problem: CompositeProblem, x0, cfg: SolverConfig):
     point is x^{k+1} + ((1 - tau_k)/tau_{k+1}) (x^k - x^{k+1}).  The trace
     keeps the tau sequence so the recurrence can be audited afterwards.
     """
-    smooth, g, gamma, x = _gradient_start("fista", problem, x0, cfg)
+    x, gamma = _start("fista", problem, x0, cfg, "smooth g", ("gamma",))
+    smooth, g = problem.smooth, problem.g
     objective_row = _objective_row(problem)
     taus = []
 
     def step(s, k):
         x, xbar, tau = s
-        x_next = g._prox(gamma, xbar - gamma * smooth._gradient(xbar))
+        grad = smooth._gradient(xbar)
+        if k == 1:
+            _check_gradient(grad, xbar)
+        x_next = g._prox(gamma, xbar - gamma * grad)
         res = norm(x - x_next) / gamma
         tau_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tau * tau))
         xbar = x_next + ((1.0 - tau) / tau_next) * (x - x_next)
@@ -387,12 +396,8 @@ def douglas_rachford(problem: CompositeProblem, z0, cfg: SolverConfig):
     z <- z + y - x.  Stops when ||y - x|| <= tol and returns the g-side
     iterate y, which lies in dom g exactly.
     """
-    _require(problem.f is not None, "douglas_rachford: problem.f is required")
-    _require(problem.g is not None, "douglas_rachford: problem.g is required")
-    _require(problem.a is None, "douglas_rachford: coupling operator not supported")
-    _require(cfg.gamma is not None, "douglas_rachford: cfg.gamma is required")
-    f, g, gamma = problem.f, problem.g, float(cfg.gamma)
-    z = _start(problem, z0)
+    z, gamma = _start("douglas_rachford", problem, z0, cfg, "f g", ("gamma",))
+    f, g = problem.f, problem.g
 
     def step(s, k):
         x, y, z = _dr_sweep(f, g, gamma, s[1])
@@ -427,12 +432,8 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
     A x^{k+1}.  The trace row's objective and gap share that A x, f(x) and
     g(Ax), and the row's A'y is the one the next sweep starts from.
     """
-    _require(problem.f is not None, "primal_dual: problem.f is required")
-    _require(problem.g is not None, "primal_dual: problem.g is required")
-    _require(cfg.tau is not None, "primal_dual: cfg.tau is required")
-    _require(cfg.sigma is not None, "primal_dual: cfg.sigma is required")
+    x, tau, sigma = _start("primal_dual", problem, x0, cfg, "f g a", ("tau", "sigma"))
     f, g, a = problem.f, problem.g, problem.a
-    tau, sigma = float(cfg.tau), float(cfg.sigma)
     anorm = 1.0 if a is None else op_norm(a)
     product = sigma * tau * anorm * anorm
     if not product < 1.0:
@@ -440,7 +441,6 @@ def primal_dual(problem: CompositeProblem, x0, y0, cfg: SolverConfig):
             f"primal_dual: step sizes violate sigma*tau*||A||^2 < 1 "
             f"(computed product {product:.6g})"
         )
-    x = _start(problem, x0)
     y = as_vector(y0).copy()
     aty = y if a is None else a.adjoint_apply(y)
     if aty.shape != x.shape:
@@ -471,12 +471,9 @@ def duality_gap(problem: CompositeProblem, x, y) -> float:
     primal = f(x) + g(Ax); dual = -f*(-A'y) - g*(y).  Nonnegative by weak
     duality, +inf whenever either point is infeasible for its side.
     """
-    _require(problem.f is not None, "duality_gap: problem.f is required")
-    _require(problem.g is not None, "duality_gap: problem.g is required")
+    (x,) = _start("duality_gap", problem, x, None, "f g a")
     f, g, a = problem.f, problem.g, problem.a
-    x = as_vector(x)
     y = as_vector(y)
-    problem._check_point(x)
     aty = y if a is None else a.adjoint_apply(y)
     fc = f.conjugate()
     fc._check(aty)

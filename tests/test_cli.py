@@ -463,8 +463,25 @@ def test_string_alpha_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("var", ["PROXKIT_SEED", "PROXKIT_TOL", "PROXKIT_MAX_ITER"])
 def test_bad_environment_default_exits_2(var, capsys, monkeypatch):
     monkeypatch.setenv(var, "abc")
-    code, _, err = run_main(["gen", "--problem", "lasso", "--n", "3"], capsys)
+    code, _, err = run_main(["solve", "--solver", "pg", "--problem", "lasso", "--n", "3"], capsys)
     _assert_one_line_error(code, err, var, "'abc'")
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--problem", "lasso", "--n", "3"], ["check", "--suite", "moreau"]]
+)
+def test_gen_and_check_take_no_solver_controls(argv, capsys, monkeypatch):
+    # neither runs a configured solver: the flags are usage errors and the
+    # variables do not apply
+    for flag in (["--tol", "-1"], ["--max-iter", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+    monkeypatch.setenv("PROXKIT_TOL", "abc")
+    monkeypatch.setenv("PROXKIT_MAX_ITER", "abc")
+    code, _, err = run_main(argv, capsys)
+    assert code == 0 and err == ""
 
 
 # --- malformed problem files -------------------------------------------------------

@@ -466,6 +466,15 @@ def test_wrong_length_gradient_is_rejected_at_entry(solver):
     assert len(grads) == 1 and g.calls == 0
 
 
+@pytest.mark.parametrize("solver", [prox_gradient, fista])
+def test_non_finite_first_gradient_is_rejected_before_any_prox(solver):
+    g = _CountingL1()
+    prob = CompositeProblem(smooth=SmoothFn(lambda x: 0.0, lambda x: x * np.nan), g=g)
+    with pytest.raises(ValueError, match="finite"):
+        solver(prob, np.ones(3), SolverConfig(gamma=1.0, max_iter=5))
+    assert g.calls == 0
+
+
 def test_start_point_of_wrong_dimension_is_rejected_at_entry():
     box = BoxIndicator(-np.ones(4), np.ones(4))
     smooth = SmoothFn(lambda x: 0.5 * float(x @ x), lambda x: x)
@@ -767,21 +776,18 @@ def test_prox_gradient_calls_value_and_gradient_once_per_point(kind, line_search
     cfg = _pg_config(smooth, line_search)
     _, trace = prox_gradient(prob, np.zeros(_PG_SIZES[kind]), cfg, line_search=line_search)
     assert trace.n_iter > 5
-    # one evaluation per trial point (one prox each) plus row 0's; the one
-    # gradient call is the entry check of its shape
+    # one evaluation per trial point (one prox each) plus row 0's, whose
+    # gradient is also the one checked for its shape
     assert calls["value_and_gradient"] == calls["prox"] + 1
-    assert (calls["value"], calls["gradient"]) == (0, 1)
+    assert (calls["value"], calls["gradient"]) == (0, 0)
     if line_search:
         assert calls["prox"] > trace.n_iter
     else:
         assert calls["prox"] == trace.n_iter
 
 
-@pytest.mark.parametrize("line_search", [False, True])
-@pytest.mark.parametrize("kind, per_point", [("lasso", 2), ("boxqp", 1)])
-def test_prox_gradient_products_per_iteration(kind, per_point, line_search, monkeypatch):
-    spec, prob = _pg_case(kind)
-    calls = {"product": 0, "prox": 0}
+def _count_products(kind, spec, prob, calls, monkeypatch):
+    """Make every product of the smooth term of _pg_case(kind) add 1 to calls["product"]."""
 
     class Counting(np.ndarray):
         """A matrix that counts its products; they return plain arrays."""
@@ -793,14 +799,84 @@ def test_prox_gradient_products_per_iteration(kind, per_point, line_search, monk
     if kind == "lasso":
         spec.a = spec.a.view(Counting)  # the smooth term reads spec.a per call
     else:
-        quad = prob.smooth._value_and_gradient.__self__
+        quad = prob.smooth._gradient.__self__
         monkeypatch.setattr(quad, "Q", quad.Q.view(Counting))
+
+
+@pytest.mark.parametrize("line_search", [False, True])
+@pytest.mark.parametrize("kind, per_point", [("lasso", 2), ("boxqp", 1)])
+def test_prox_gradient_products_per_iteration(kind, per_point, line_search, monkeypatch):
+    spec, prob = _pg_case(kind)
+    calls = {"product": 0, "prox": 0}
+    _count_products(kind, spec, prob, calls, monkeypatch)
     monkeypatch.setattr(prob.g, "_prox", _counted(calls, "prox", prob.g._prox))
     cfg = _pg_config(prob.smooth, line_search)
     _, trace = prox_gradient(prob, np.zeros(spec.n), cfg, line_search=line_search)
     assert trace.n_iter > 5
     if not line_search:
         assert calls["prox"] == trace.n_iter
-    # per_point products at each trial point, at x0 for row 0 and at x0 for
-    # the entry check of the gradient's shape
-    assert calls["product"] == per_point * (calls["prox"] + 2)
+    # per_point products at each trial point and at x0 for row 0, whose
+    # gradient is also the one checked for its shape
+    assert calls["product"] == per_point * (calls["prox"] + 1)
+
+
+@pytest.mark.parametrize("kind, per_gradient", [("lasso", 2), ("boxqp", 1)])
+def test_fista_products_per_solve(kind, per_gradient, monkeypatch):
+    spec, prob = _pg_case(kind)
+    calls = {"product": 0}
+    _count_products(kind, spec, prob, calls, monkeypatch)
+    cfg = SolverConfig(gamma=1.0 / prob.smooth.lipschitz, tol=1e-10, max_iter=400)
+    _, trace = fista(prob, np.zeros(spec.n), cfg)
+    assert trace.n_iter > 5
+    # one gradient at each extrapolated point and one smooth value per row
+    # (one product), row 0 included: 3k+1 on lasso, 2k+1 on boxqp
+    assert calls["product"] == (per_gradient + 1) * trace.n_iter + 1
+
+
+_SMOOTH = SmoothFn(lambda x: 0.5 * float(x @ x), lambda x: x)  # no lipschitz
+_PD = dict(f=L1(), g=SquaredL2())
+_EYE = LinearOperator(np.eye(2))
+_X0 = np.zeros(2)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: prox_gradient(CompositeProblem(g=L1()), _X0, SolverConfig(gamma=1.0)),
+         "prox_gradient: problem.smooth is required"),
+        (lambda: fista(CompositeProblem(smooth=_SMOOTH), _X0, SolverConfig()),
+         "fista: problem.g is required"),
+        (lambda: prox_gradient(CompositeProblem(smooth=_SMOOTH, g=L1()), _X0, SolverConfig()),
+         "prox_gradient: need cfg.gamma or smooth.lipschitz"),
+        (lambda: fista(CompositeProblem(smooth=_SMOOTH, g=L1(), a=_EYE), _X0, SolverConfig(gamma=1.0)),
+         "fista: coupling operator not supported"),
+        (lambda: proximal_point(L1(), _X0, SolverConfig()),
+         "proximal_point: cfg.gamma is required"),
+        (lambda: douglas_rachford(CompositeProblem(**_PD), _X0, SolverConfig()),
+         "douglas_rachford: cfg.gamma is required"),
+        (lambda: douglas_rachford(CompositeProblem(**_PD, a=_EYE), _X0, SolverConfig(gamma=1.0)),
+         "douglas_rachford: coupling operator not supported"),
+        (lambda: primal_dual(CompositeProblem(f=L1()), _X0, _X0, SolverConfig()),
+         "primal_dual: problem.g is required"),
+        (lambda: primal_dual(CompositeProblem(**_PD), _X0, _X0, SolverConfig(tau=0.5)),
+         "primal_dual: cfg.sigma is required"),
+        (lambda: duality_gap(CompositeProblem(g=L1()), _X0, _X0),
+         "duality_gap: problem.f is required"),
+        # a slot the solver does not read would leave the objective it reports
+        # different from the one it minimizes
+        (lambda: fista(CompositeProblem(smooth=_SMOOTH, f=L1(), g=L1()), _X0, SolverConfig(gamma=1.0)),
+         "fista: problem.f not supported"),
+        (lambda: douglas_rachford(CompositeProblem(**_PD, smooth=_SMOOTH), _X0, SolverConfig(gamma=1.0)),
+         "douglas_rachford: problem.smooth not supported"),
+    ],
+)
+def test_solver_inputs_are_checked_at_entry(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+def test_prox_gradient_default_step_is_one_over_lipschitz():
+    smooth = SmoothFn(lambda x: float(x @ x), lambda x: 2.0 * x, lipschitz=2.0)
+    prob = CompositeProblem(smooth=smooth, g=L1())
+    _, trace = prox_gradient(prob, np.ones(2), SolverConfig(max_iter=3))
+    assert set(trace.step) == {0.5}
