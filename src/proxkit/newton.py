@@ -1,16 +1,17 @@
 """Semismooth Newton solvers for piecewise-smooth optimality systems.
 
-Each solver rewrites first-order optimality as a fixed-point residual built
-from a projection or soft threshold, picks one element of the generalized
-derivative through an activity mask, and eliminates the masked rows by hand:
-pinned coordinates take their residual value directly (landing exactly on a
-bound or exactly at zero after the update), and only the free block is
-formed and goes to the dense SPD solve.  When the solve rejects that block
-(singular, as for a lasso with more active columns than rows), the step
-solves the Levenberg-Marquardt shifted block B_aa + mu I with
-mu = 0.1 ||Phi(x)|| instead (Yamashita & Fukushima, 2001); well-posed
-blocks keep the exact Newton step.  Dense Hessian blocks throughout; sized
-for N up to a few hundred.
+l1_ssn, moreau_yosida_ssn and control_ssn are one projection-Newton kernel
+on Phi(x) = x - P(w(x)), P a soft threshold, a scaled soft threshold or a
+clip.  A step reuses the w the residual computed, picks one element of the
+generalized derivative through an activity mask on w, and eliminates the
+masked rows by hand: pinned coordinates take their residual value directly
+(landing exactly on a bound or at zero after the update), and only the
+free block is formed and goes to the dense SPD solve.  When the solve
+rejects that block (singular, as for a lasso with more active columns than
+rows), the step solves the Levenberg-Marquardt shifted block B_aa + mu I
+with mu = 0.1 ||Phi(x)|| instead (Yamashita & Fukushima, 2001); well-posed
+blocks keep the exact Newton step.  Dense blocks throughout, sized for N up
+to a few hundred.
 
 ``ssn_solve`` runs one damped Newton step as a kernel on the splitting
 solvers' shared loop, ``splitting._run``.  A residual past 1e6 times its
@@ -34,7 +35,6 @@ __all__ = [
     "NewtonResult",
     "ssn_solve",
     "scaled_soft_threshold",
-    "scaled_soft_threshold_slope",
     "l1_ssn",
     "moreau_yosida_ssn",
     "control_ssn",
@@ -48,31 +48,10 @@ _DIVERGE_FACTOR = 1e6
 
 @dataclass
 class NewtonDerivativeMask:
-    """Chooses one element of a piecewise derivative coordinatewise.
-
-    active marks coordinates on the smooth (differentiable) branch; pinned
-    is its complement, where the projection derivative is zero.
-    """
+    """One element of a piecewise derivative: the bool array active marks the
+    smooth branch; on the rest the projection derivative is zero."""
 
     active: np.ndarray
-
-    def __post_init__(self):
-        self.active = np.asarray(self.active, dtype=bool)
-
-    @property
-    def pinned(self) -> np.ndarray:
-        return ~self.active
-
-    @classmethod
-    def threshold(cls, w, thresh: float) -> "NewtonDerivativeMask":
-        """Active where |w_i| >= thresh; ties count as active."""
-        return cls(np.abs(as_vector(w)) >= thresh)
-
-    @classmethod
-    def interval(cls, v, lo, hi) -> "NewtonDerivativeMask":
-        """Active where lo < v_i < hi strictly; ties count as pinned."""
-        v = as_vector(v)
-        return cls((v > lo) & (v < hi))
 
 
 @dataclass
@@ -93,7 +72,7 @@ def _masked_step(block, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSy
     B[act], the one gather of B per step; B_ap and B_aa are C-ordered column
     selections of them (a Fortran-ordered rows[:, pin] sums in another order).
     A B_aa that solve_spd rejects gets 0.1 ||rhs|| added to its diagonal."""
-    act, pin = mask.active, mask.pinned
+    act, pin = mask.active, ~mask.active
     s = rhs.copy()  # pinned rows: s_p = rhs_p
     if act.any():
         rows = block(act)
@@ -107,20 +86,6 @@ def _masked_step(block, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSy
             b_aa.flat[:: r.size + 1] += 0.1 * norm(rhs)
             s[act] = solve_spd(b_aa, r)
     return NewtonSystem(mask, s)
-
-
-def _last_value(fn):
-    """fn with a one-entry cache keyed on the identity of its argument, so a
-    step reuses what the residual just computed at the same iterate and
-    recomputes at any other (after a damping underflow, say)."""
-    last = [None, None]
-
-    def cached(x):
-        if last[0] is not x:
-            last[:] = x, fn(x)
-        return last[1]
-
-    return cached
 
 
 @dataclass
@@ -190,18 +155,32 @@ def scaled_soft_threshold(t, gamma: float):
     return (t - np.clip(t, -1.0, 1.0)) / gamma
 
 
-def scaled_soft_threshold_slope(t, gamma: float):
-    """Generalized derivative of scaled_soft_threshold: 1/gamma where |t| >= 1
-    (ties take the sloped branch), 0 inside."""
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) >= 1.0, 1.0 / gamma, 0.0)
-
-
 def _as_hess(hess):
     if callable(hess):
         return hess
     H = np.asarray(hess, dtype=float)
     return lambda _x: H
+
+
+def _projection_ssn(w_of, project, active, rows, x0, tol, max_iter, damped):
+    """ssn_solve on Phi(x) = x - project(w_of(x)); a step masks by active(w) and
+    eliminates with the Newton matrix rows rows(x, act).  w is cached on the
+    identity of x: reused at the residual's iterate, recomputed at any other."""
+    last = [None, None]
+
+    def w_at(x):
+        if last[0] is not x:
+            last[:] = x, w_of(x)
+        return last[1]
+
+    def residual(x):
+        return x - project(w_at(x))
+
+    def step(x, r):
+        mask = NewtonDerivativeMask(active(as_vector(w_at(x))))
+        return _masked_step(lambda act: rows(x, act), mask, -r)
+
+    return ssn_solve(residual, step, x0, tol=tol, max_iter=max_iter, damped=damped)
 
 
 def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
@@ -211,55 +190,43 @@ def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
     Zeros of Phi minimize F(x) + alpha*||x||_1 for smooth F with Hessian
     hess (constant matrix or callable).  Pinned coordinates, where the
     threshold argument falls strictly inside the dead zone, land exactly at
-    zero after each step.
+    zero after each step; ties |w_i| = gamma*alpha count as active.
     """
     if not (alpha > 0 and gamma > 0):
         raise ValueError("l1_ssn: alpha and gamma must be positive")
     hess_at = _as_hess(hess)
     thresh = gamma * alpha
-    w_of = _last_value(lambda x: x - gamma * as_vector(grad(x)))
-
-    def residual(x):
-        w = w_of(x)
-        return x - np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
-
-    def step(x, r):
-        mask = NewtonDerivativeMask.threshold(w_of(x), thresh)
-        H = hess_at(x)
-        return _masked_step(lambda act: gamma * H[act], mask, -r)
-
-    return ssn_solve(residual, step, x0, tol=tol, max_iter=max_iter, damped=damped)
+    return _projection_ssn(
+        lambda x: x - gamma * as_vector(grad(x)),
+        lambda w: np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0),
+        lambda w: np.abs(w) >= thresh,
+        lambda x, act: gamma * hess_at(x)[act], x0, tol, max_iter, damped,
+    )
 
 
 def moreau_yosida_ssn(grad, hess, gamma: float, u0, tol: float = 1e-10,
                       max_iter: int = 50, damped: bool = True) -> NewtonResult:
     """Newton on the Tikhonov-regularized l1 system for given gamma > 0.
 
-    Solves Psi(u) = u - h(-grad(u)) = 0 with h = scaled_soft_threshold at
-    gamma; the root is the unique minimizer of
-    F(u) + ||u||_1 + (gamma/2)||u||^2.  The free block is
-    (I + H/gamma) restricted to coordinates with |grad(u)_i| >= 1.
+    Solves Psi(u) = u - h(-grad(u)) = 0, h = scaled_soft_threshold at gamma,
+    whose root is the unique minimizer of F(u) + ||u||_1 + (gamma/2)||u||^2.
+    The free block is I + H/gamma on coordinates with |grad(u)_i| >= 1.
     """
     if not (gamma > 0):
         raise ValueError("moreau_yosida_ssn: gamma must be positive")
     hess_at = _as_hess(hess)
-    grad_of = _last_value(lambda u: as_vector(grad(u)))
 
-    def residual(u):
-        return u - scaled_soft_threshold(-grad_of(u), gamma)
+    def rows(u, act):  # I + H/gamma, one identity entry per active row
+        b = hess_at(u)[act] / gamma
+        b[np.arange(b.shape[0]), np.flatnonzero(act)] += 1.0
+        return b
 
-    def step(u, r):
-        mask = NewtonDerivativeMask.threshold(-grad_of(u), 1.0)
-        H = hess_at(u)
-
-        def block(act):  # I + H/gamma, one identity entry per active row
-            rows = H[act] / gamma
-            rows[np.arange(rows.shape[0]), np.flatnonzero(act)] += 1.0
-            return rows
-
-        return _masked_step(block, mask, -r)
-
-    return ssn_solve(residual, step, u0, tol=tol, max_iter=max_iter, damped=damped)
+    return _projection_ssn(
+        lambda u: -as_vector(grad(u)),
+        lambda w: scaled_soft_threshold(w, gamma),
+        lambda w: np.abs(w) >= 1.0,
+        rows, u0, tol, max_iter, damped,
+    )
 
 
 def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
@@ -269,7 +236,7 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
     Solves min 1/2||Su - z||^2 + alpha/2 ||u||^2 over the box [lo, hi]
     through Phi(u) = u - clip(v(u), lo, hi), v(u) = -(1/alpha) S'(Su - z).
     Coordinates whose v hits or crosses a bound are pinned and sit exactly
-    on that bound after the step.
+    on that bound after the step; only lo < v_i < hi strictly is active.
     """
     if not (alpha > 0):
         raise ValueError("control_ssn: alpha must be positive")
@@ -284,22 +251,19 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
     if np.any(lo > hi):
         raise ValueError("control_ssn: need lo <= hi")
+    x_start = np.zeros(n) if u0 is None else as_vector(u0)
+    if x_start.size != n:
+        raise ValueError("control_ssn: u0 does not match S")
     StS = S.T @ S
     Stz = S.T @ z
     B = StS / alpha
     B.flat[:: n + 1] += 1.0
-    x_start = np.zeros(n) if u0 is None else as_vector(u0)
-
-    v_of = _last_value(lambda u: (Stz - StS @ u) / alpha)
-
-    def residual(u):
-        return u - np.clip(v_of(u), lo, hi)
-
-    def step(u, r):
-        mask = NewtonDerivativeMask.interval(v_of(u), lo, hi)
-        return _masked_step(lambda act: B[act], mask, -r)
-
-    return ssn_solve(residual, step, x_start, tol=tol, max_iter=max_iter, damped=damped)
+    return _projection_ssn(
+        lambda u: (Stz - StS @ u) / alpha,
+        lambda v: np.clip(v, lo, hi),
+        lambda v: (v > lo) & (v < hi),
+        lambda u, act: B[act], x_start, tol, max_iter, damped,
+    )
 
 
 @dataclass

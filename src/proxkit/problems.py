@@ -451,7 +451,10 @@ def kkt_residual(spec, x) -> float:
 def lasso_composite_smooth(spec: LassoSpec) -> CompositeProblem:
     """Smooth-plus-prox form for gradient methods: F = 1/2||A.-b||^2, G = alpha*l1."""
     a_op = LinearOperator(spec.a)
-    lip = op_norm(a_op) ** 2
+    try:
+        lip = op_norm(a_op) ** 2
+    except OverflowError:
+        raise ValueError("lasso problem: a is too large (||a||^2 overflows)") from None
 
     def value_and_gradient(x):  # one residual for both
         r = spec.a @ x - spec.b
@@ -507,11 +510,10 @@ def control_composite(spec: ControlSpec) -> CompositeProblem:
 
 def huber_composite(spec: HuberSpec) -> CompositeProblem:
     """Fully smooth problem: G is the zero functional."""
-    smooth = SmoothFn(
-        value=spec._objective,
-        gradient=spec._gradient,
-        lipschitz=spec.alpha / spec.gamma + 1.0,
-    )
+    lip = spec.alpha / spec.gamma + 1.0
+    if lip > _FLOAT_MAX:
+        raise ValueError("huber problem: gamma is too small for alpha (alpha/gamma overflows)")
+    smooth = SmoothFn(value=spec._objective, gradient=spec._gradient, lipschitz=lip)
     return CompositeProblem(smooth=smooth, g=Zero())
 
 

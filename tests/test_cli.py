@@ -524,6 +524,26 @@ def test_malformed_problem_file_exits_2_with_one_line(
     assert "Traceback" not in out and len(err.strip()) < 120, err
 
 
+# (name, kind, params, fragment): files that load but whose Lipschitz constant overflows
+OVERFLOWING = [
+    ("lasso-huge-a", "lasso", {**_LASSO, "a": [[1.0, 0.0], [0.0, 1e200]]},
+     "lasso problem: a is too large"),
+    ("huber-huge-alpha-over-gamma", "huber", {**_HUBER, "alpha": 1e300, "gamma": 1e-300},
+     "huber problem: gamma is too small for alpha"),
+]
+
+
+@pytest.mark.parametrize("solver", ["pg", "pg-ls", "fista"])
+@pytest.mark.parametrize("name,kind,params,fragment", OVERFLOWING, ids=[o[0] for o in OVERFLOWING])
+def test_overflowing_lipschitz_constant_exits_2_with_one_line(
+    name, kind, params, fragment, solver, tmp_path, capsys
+):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"kind": kind, "params": params}))
+    code, _, err = run_main(["solve", "--solver", solver, "--problem-file", str(path)], capsys)
+    _assert_one_line_error(code, err, fragment)
+
+
 def test_scalar_bounds_in_a_problem_file_broadcast(tmp_path, capsys):
     _, out, _ = run_main(["gen", "--problem", "boxqp", "--n", "3", "--seed", "1"], capsys)
     doc = json.loads(out)

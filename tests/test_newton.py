@@ -42,20 +42,36 @@ def _lasso_pieces(spec):
 # --- masks and the scalar kernel --------------------------------------------------
 
 
-def test_threshold_mask_marks_large_coordinates_active():
-    m = NewtonDerivativeMask.threshold(np.array([2.0, 0.5, -1.0]), 1.0)
-    npt.assert_array_equal(m.active, [True, False, True])
-    npt.assert_array_equal(m.pinned, [False, True, False])
-    # ties count as active
-    t = NewtonDerivativeMask.threshold(np.array([1.0, -1.0]), 1.0)
-    npt.assert_array_equal(t.active, [True, True])
+@pytest.fixture
+def step_masks(monkeypatch):
+    """The active mask of every Newton step the solvers take, in order."""
+    real = newton._masked_step
+    masks = []
+
+    def recording(block, mask, rhs):
+        masks.append(mask.active.copy())
+        return real(block, mask, rhs)
+
+    monkeypatch.setattr(newton, "_masked_step", recording)
+    return masks
 
 
-def test_interval_mask_pins_boundary_ties():
-    m = NewtonDerivativeMask.interval(
-        np.array([-2.0, 0.0, 1.0, 3.0]), -1.0, 1.0
-    )
-    npt.assert_array_equal(m.active, [False, True, False, False])
+def test_threshold_mask_marks_large_coordinates_active(step_masks):
+    # grad(x) = x - b, hess = I and gamma = alpha = 1 from 0: l1_ssn and
+    # moreau_yosida_ssn both see w = b; ties |w_i| = 1 count as active
+    b = np.array([2.0, 0.5, -1.0, 1.0])
+    l1_ssn(lambda x: x - b, np.eye(4), 1.0, 1.0, np.zeros(4))
+    first_my = len(step_masks)
+    moreau_yosida_ssn(lambda x: x - b, np.eye(4), 1.0, np.zeros(4))
+    for mask in (step_masks[0], step_masks[first_my]):
+        npt.assert_array_equal(mask, [True, False, True, True])
+
+
+def test_interval_mask_pins_boundary_ties(step_masks):
+    # S = I, alpha = 1 from 0: control_ssn sees v = z; only lo < v < hi is active
+    z = np.array([-2.0, 0.0, 1.0, 3.0, -1.0])
+    control_ssn(np.eye(5), z, 1.0, -1.0, 1.0, u0=np.zeros(5))
+    npt.assert_array_equal(step_masks[0], [False, True, False, False, False])
 
 
 def test_scaled_soft_threshold_values():
@@ -310,6 +326,18 @@ def test_control_ssn_matches_enumeration_oracle():
         q = control_as_boxqp(spec)
         interior_grad = (q.q @ res.x + q.c)[~on_bound]
         npt.assert_allclose(interior_grad, 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_control_ssn_names_a_u0_of_the_wrong_length(k):
+    with pytest.raises(ValueError, match="^control_ssn: u0 does not match S$"):
+        control_ssn(np.eye(3), np.ones(3), 1.0, -1.0, 1.0, u0=np.zeros(k))
+
+
+def test_control_ssn_step_rejects_an_infinite_v():
+    # v = S'z / alpha overflows while its clip, and so the residual, stays finite
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        control_ssn(1e10 * np.eye(2), np.full(2, 1e300), 1.0, -1.0, 1.0)
 
 
 # --- diagnostics -----------------------------------------------------------------------------
@@ -658,7 +686,7 @@ def steps_against_ix(monkeypatch):
         assert np.array_equal(block(np.ones(rhs.size, bool)), B)
         ref, shifted = _ix_step(B, mask.active, rhs)
         assert np.array_equal(system.step, ref)
-        seen.append((int(mask.active.sum()), int(mask.pinned.sum()), len(calls), shifted))
+        seen.append((int(mask.active.sum()), int((~mask.active).sum()), len(calls), shifted))
         return system
 
     monkeypatch.setattr(newton, "_masked_step", checked)
