@@ -382,21 +382,13 @@ def _suite_fejer(seed: int):
     spec = problems.gen_boxqp(8, seed=seed)
     xstar = problems.oracle_boxqp(spec)
     comp = problems.boxqp_composite(spec)
-    cfg = SolverConfig(
-        gamma=1.0 / comp.smooth.lipschitz, tol=1e-14, max_iter=2000
-    )
-    _, trace = prox_gradient(comp, np.zeros(8), cfg, x_ref=xstar)
+    cfg = dict(tol=1e-14, max_iter=2000, store_iterates=True)
+    _, trace = prox_gradient(comp, np.zeros(8), SolverConfig(**cfg))  # gamma = 1/L
+    _, tr2 = proximal_point(Quadratic(spec.q, spec.c), np.zeros(8), SolverConfig(gamma=0.5, **cfg))
     worst = 0.0
-    for a, b in zip(trace.fejer, trace.fejer[1:]):
-        worst = max(worst, b - a)
-    quad = Quadratic(spec.q, spec.c)
-    xq = np.linalg.solve(spec.q, -spec.c)
-    _, tr2 = proximal_point(
-        quad, np.zeros(8), SolverConfig(gamma=0.5, tol=1e-14, max_iter=2000),
-        x_ref=xq,
-    )
-    for a, b in zip(tr2.fejer, tr2.fejer[1:]):
-        worst = max(worst, b - a)
+    for tr, ref in ((trace, xstar), (tr2, np.linalg.solve(spec.q, -spec.c))):
+        d = [norm(x - ref) for x in tr.iterates]
+        worst = max([worst] + [b - a for a, b in zip(d, d[1:])])
     return "monotone distance to the solution", worst, 1e-12
 
 

@@ -14,25 +14,27 @@ blocks keep the exact Newton step.  Dense blocks throughout, sized for N up
 to a few hundred.
 
 ``ssn_solve`` runs one damped Newton step as a kernel on the splitting
-solvers' shared loop, ``splitting._run``.  A residual past 1e6 times its
-start, or a non-finite one, ends a run diverged at the last finite
-iterate; the blown-up row is not recorded.
+solvers' shared loop, ``splitting._run``, and every solver here returns its
+IterTrace: residuals[k] = ||Phi(x^k)||, step the damping factor, every
+iterate kept.  A residual past 1e6 times its start, or a non-finite one,
+ends a run diverged at the last finite iterate; the blown-up row is not
+recorded.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import SPDSolveError, as_vector, norm, solve_spd
-from .splitting import SolverConfig, _run
+from .problems import ControlSpec
+from .splitting import IterTrace, SolverConfig, _run
 
 __all__ = [
     "NewtonDerivativeMask",
     "NewtonSystem",
-    "NewtonResult",
     "ssn_solve",
     "scaled_soft_threshold",
     "l1_ssn",
@@ -88,39 +90,29 @@ def _masked_step(block, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSy
     return NewtonSystem(mask, s)
 
 
-@dataclass
-class NewtonResult:
-    x: np.ndarray
-    residuals: list[float] = field(default_factory=list)
-    iterates: list[np.ndarray] = field(default_factory=list)
-    converged: bool = False
-    diverged: bool = False
-
-    @property
-    def n_iter(self) -> int:
-        return len(self.residuals) - 1 if self.residuals else 0
-
-
 def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
-              damped: bool = True) -> NewtonResult:
+              damped: bool = True) -> IterTrace:
     """Generic semismooth Newton iteration x <- x + t * step(x, Phi(x)).
 
     residual maps x to Phi(x); step maps (x, Phi(x)) to a NewtonSystem.
     Runs on the shared loop ``splitting._run`` (SolverConfig checks tol and
-    max_iter >= 1) and stops when ||Phi(x)|| <= tol, at x0 included.  With
-    damped=True the step is halved until the residual norm decreases; the
-    full step is always tried first, so the exact one-step behavior on a
-    correctly identified piece is preserved, while the backtracking breaks
-    the mask cycles that undamped active-set Newton is prone to; if halving
-    underflows, the full step is taken.  A residual that blows up past 1e6
+    max_iter >= 1) and stops when ||Phi(x)|| <= tol, at x0 included; a
+    non-finite Phi(x0) raises ValueError.  With damped=True the step is
+    halved until the residual norm decreases; the full step is always tried
+    first, so the exact one-step behavior on a correctly identified piece is
+    preserved, while the backtracking breaks the mask cycles that undamped
+    active-set Newton is prone to; if halving underflows, the full step is
+    taken.  A residual that blows up past 1e6
     times its starting value (or stops being finite) marks the result
-    diverged instead of raising, so outer drivers can react; x is then the
-    last finite iterate and the blown-up row is not recorded.
+    diverged instead of raising, so outer drivers can react; trace.x is then
+    the last finite iterate and the blown-up row is not recorded.
     """
     cfg = SolverConfig(tol=tol, max_iter=max_iter, store_iterates=True)
     x = as_vector(x0).copy()
     r = residual(x)
     nr = norm(r)
+    if not math.isfinite(nr):
+        raise ValueError("ssn_solve: the residual at x0 is not finite")
     blowup = _DIVERGE_FACTOR * max(nr, tol)
 
     def newton_step(state, k):
@@ -139,10 +131,8 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
         # the loop reads an infinite residual as divergence
         return (x_try, r_try, nr), math.inf if nr > blowup else nr, t
 
-    (x, _, _), trace = _run(
-        cfg, (x, r, nr), newton_step, lambda s: (s[0], math.nan, math.nan), 1.0, res=nr
-    )
-    return NewtonResult(x, trace.residual, trace.iterates, trace.converged, trace.diverged)
+    _, trace = _run(cfg, (x, r, nr), newton_step, lambda s: (s[0], math.nan, math.nan), 1.0, res=nr)
+    return trace
 
 
 def scaled_soft_threshold(t, gamma: float):
@@ -184,7 +174,7 @@ def _projection_ssn(w_of, project, active, rows, x0, tol, max_iter, damped):
 
 
 def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
-           max_iter: int = 50, damped: bool = True) -> NewtonResult:
+           max_iter: int = 50, damped: bool = True) -> IterTrace:
     """Semismooth Newton on Phi(x) = x - soft(x - gamma*grad(x), gamma*alpha).
 
     Zeros of Phi minimize F(x) + alpha*||x||_1 for smooth F with Hessian
@@ -205,7 +195,7 @@ def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
 
 
 def moreau_yosida_ssn(grad, hess, gamma: float, u0, tol: float = 1e-10,
-                      max_iter: int = 50, damped: bool = True) -> NewtonResult:
+                      max_iter: int = 50, damped: bool = True) -> IterTrace:
     """Newton on the Tikhonov-regularized l1 system for given gamma > 0.
 
     Solves Psi(u) = u - h(-grad(u)) = 0, h = scaled_soft_threshold at gamma,
@@ -230,27 +220,17 @@ def moreau_yosida_ssn(grad, hess, gamma: float, u0, tol: float = 1e-10,
 
 
 def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
-                max_iter: int = 50, damped: bool = True) -> NewtonResult:
+                max_iter: int = 50, damped: bool = True) -> IterTrace:
     """Box-constrained Tikhonov least squares by projection Newton.
 
     Solves min 1/2||Su - z||^2 + alpha/2 ||u||^2 over the box [lo, hi]
     through Phi(u) = u - clip(v(u), lo, hi), v(u) = -(1/alpha) S'(Su - z).
     Coordinates whose v hits or crosses a bound are pinned and sit exactly
     on that bound after the step; only lo < v_i < hi strictly is active.
+    S, z, alpha, lo and hi are checked as a problems.ControlSpec.
     """
-    if not (alpha > 0):
-        raise ValueError("control_ssn: alpha must be positive")
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2:
-        raise ValueError("control_ssn: S must be a matrix")
-    z = as_vector(z)
-    if z.size != S.shape[0]:
-        raise ValueError("control_ssn: z does not match S")
-    n = S.shape[1]
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-    if np.any(lo > hi):
-        raise ValueError("control_ssn: need lo <= hi")
+    spec = ControlSpec(S, z, alpha, lo, hi)
+    S, z, alpha, lo, hi, n = spec.s, spec.z, spec.alpha, spec.lo, spec.hi, spec.n
     x_start = np.zeros(n) if u0 is None else as_vector(u0)
     if x_start.size != n:
         raise ValueError("control_ssn: u0 does not match S")
@@ -294,7 +274,7 @@ class ContinuationSchedule:
 def continuation(solve_at, schedule: ContinuationSchedule, u0):
     """Warm-started sweep of solve_at(gamma, u) down the schedule.
 
-    solve_at returns a NewtonResult.  Returns (u, stages) where each stage
+    solve_at returns an IterTrace.  Returns (u, stages) where each stage
     records gamma, iterations, final residual, and flags.  A diverged inner
     solve stops the sweep immediately and keeps the last good iterate; the
     failing stage stays in the list with diverged=True.

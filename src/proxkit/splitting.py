@@ -2,18 +2,18 @@
 
 The problem template is J(x) = F(x) + G(Ax) where each part is either smooth
 with a known gradient or prox-friendly through the functional catalog.  The
-solvers share one trace format so runs can be compared column by column, and
-every stopping rule is a fixed-point residual of the iteration map rather
-than an objective difference.
+solvers and the semismooth Newton ones share one trace type, IterTrace, so
+runs can be compared column by column, and every stopping rule is a
+fixed-point residual of the iteration map rather than an objective difference.
 
 Inputs are validated once, at solver entry, by ``_start``: the problem
 slots and step sizes a solver needs must be set, the start point is coerced
 and checked finite, each functional's dimension is checked against it, and
 step sizes become floats.  The first gradient a method computes must be
-finite and of the iterate's shape.  Each solver then supplies a step kernel to one shared
-loop, ``_run``, which owns trace rows (row 0 included) and their wall
-clock, the Fejer distances and stored iterates, and both stopping rules;
-the semismooth Newton driver, ``newton.ssn_solve``, runs on it too.  The
+finite and of the iterate's shape.  Each solver then supplies a step kernel
+to one shared loop, ``_run``, which owns trace rows (row 0 included), their
+wall clock, the final and the stored iterates, and both stopping rules; the
+semismooth Newton driver, ``newton.ssn_solve``, runs on it too.  The
 kernels run on raw arrays, calling the functionals' ``_prox``/``_value``
 and the smooth term's own callables; Douglas-Rachford and the primal-dual
 method each keep their sweep in one function, which ``dr_as_pdhg_check``
@@ -109,48 +109,47 @@ def _csv_num(v: float) -> str:
 
 @dataclass
 class IterTrace:
-    """Per-iteration record: row k describes the state at iterate x^k.
+    """Per-iteration record of any solver: row k describes the state at x^k.
 
-    residual is the solver's fixed-point residual norm measured on arrival
-    at x^k (at row 0 inf, or Newton's ||Phi(x^0)||), gap is a duality gap
-    when the solver produces a certificate and NaN otherwise, step is the
-    step size used to reach the row, ms is wall time since the solve
-    started.  diverged is set when the residual came out non-finite; that
+    residuals[k] is the fixed-point residual norm measured on arrival at x^k
+    (at row 0 inf, or Newton's ||Phi(x^0)||), gap a duality gap when the
+    solver produces a certificate and NaN otherwise, step the step size used
+    to reach the row (Newton's damping factor), ms the wall time since the
+    solve started.  x is the last recorded iterate, the one the solver
+    returns.  diverged is set when the residual came out non-finite; that
     row is not recorded.
     """
 
-    iters: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
-    residual: list[float] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
     gap: list[float] = field(default_factory=list)
     step: list[float] = field(default_factory=list)
     ms: list[float] = field(default_factory=list)
-    fejer: list[float] | None = None
+    x: np.ndarray | None = None
     taus: list[float] | None = None
     iterates: list[np.ndarray] | None = None
     converged: bool = False
     diverged: bool = False
 
-    def append(self, k, objective, residual, gap, step, ms):
-        self.iters.append(int(k))
+    def append(self, objective, residual, gap, step, ms):
         self.objective.append(float(objective))
-        self.residual.append(float(residual))
+        self.residuals.append(float(residual))
         self.gap.append(float(gap))
         self.step.append(float(step))
         self.ms.append(float(ms))
 
     def __len__(self):
-        return len(self.iters)
+        return len(self.residuals)
 
     @property
     def n_iter(self) -> int:
-        return self.iters[-1] if self.iters else 0
+        return len(self.residuals) - 1
 
     def to_csv(self) -> str:
-        cols = (self.objective, self.residual, self.gap, self.step, self.ms)
+        cols = (self.objective, self.residuals, self.gap, self.step, self.ms)
         lines = [_CSV_HEADER]
-        for i, k in enumerate(self.iters):
-            lines.append(",".join([str(k)] + [_csv_num(col[i]) for col in cols]))
+        for k, row in enumerate(zip(*cols)):
+            lines.append(",".join([str(k)] + [_csv_num(v) for v in row]))
         return "\n".join(lines) + "\n"
 
 
@@ -235,7 +234,7 @@ def _check_gradient(grad, x: np.ndarray):
         raise DimensionMismatchError(f"gradient has shape {shape}, iterate has shape {x.shape}")
 
 
-def _run(cfg: SolverConfig, state, step, row, size: float, ref=None, res=math.inf):
+def _run(cfg: SolverConfig, state, step, row, size: float, res=math.inf):
     """The loop of every splitting solver and of ssn_solve; returns (state, trace).
 
     step(state, k) returns (next state, residual, step size) for iteration
@@ -244,14 +243,10 @@ def _run(cfg: SolverConfig, state, step, row, size: float, ref=None, res=math.in
     caller measured one) and step size ``size``.  A non-finite residual
     ends the run with ``trace.diverged`` set, keeping the previous state and
     recording no row; a residual of at most cfg.tol, row 0's included, ends
-    it with ``trace.converged`` set.  With ref given the trace keeps
-    ||x^k - ref|| in ``fejer``; with cfg.store_iterates it keeps a copy of
-    every x^k.
+    it with ``trace.converged`` set.  trace.x is the last recorded iterate;
+    with cfg.store_iterates the trace keeps a copy of every x^k.
     """
     trace = IterTrace()
-    if ref is not None:
-        ref = as_vector(ref)
-        trace.fejer = []
     if cfg.store_iterates:
         trace.iterates = []
     t0 = time.perf_counter()
@@ -263,14 +258,13 @@ def _run(cfg: SolverConfig, state, step, row, size: float, ref=None, res=math.in
                 break
             state = next_state
         x, objective, gap = row(state)
-        trace.append(k, objective, res, gap, size, (time.perf_counter() - t0) * 1e3)
-        if ref is not None:
-            trace.fejer.append(norm(x - ref))
+        trace.append(objective, res, gap, size, (time.perf_counter() - t0) * 1e3)
         if trace.iterates is not None:
             trace.iterates.append(x.copy())
         if res <= cfg.tol:
             trace.converged = True
             break
+    trace.x = x
     return state, trace
 
 
@@ -279,19 +273,16 @@ def _objective_row(problem: CompositeProblem):
     return lambda s: (s[0], problem._objective(s[0]), math.nan)
 
 
-def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig, x_ref=None):
-    """Iterate x <- prox_{gamma g}(x) until the scaled residual passes tol.
-
-    Returns (x, trace).  When x_ref is given the trace records the distance
-    to it at every iterate, which for a minimizer must be nonincreasing.
-    """
+def proximal_point(g: ProxFunctional, x0, cfg: SolverConfig):
+    """Iterate x <- prox_{gamma g}(x) until the scaled residual passes tol;
+    returns (x, trace)."""
     x, gamma = _start("proximal_point", CompositeProblem(g=g), x0, cfg, "g", ("gamma",))
 
     def step(x, k):
         x_next = g._prox(gamma, x)
         return x_next, norm(x - x_next) / gamma, gamma
 
-    return _run(cfg, x, step, lambda x: (x, g._value(x), math.nan), gamma, x_ref)
+    return _run(cfg, x, step, lambda x: (x, g._value(x), math.nan), gamma)
 
 
 def _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k):
@@ -313,13 +304,7 @@ def _linesearch_step(smooth, g, x, fx, grad, gamma, gamma0, k):
             )
 
 
-def prox_gradient(
-    problem: CompositeProblem,
-    x0,
-    cfg: SolverConfig,
-    line_search: bool = False,
-    x_ref=None,
-):
+def prox_gradient(problem: CompositeProblem, x0, cfg: SolverConfig, line_search: bool = False):
     """Proximal gradient iteration x <- prox_{gamma g}(x - gamma grad(x)).
 
     With line_search=True the step is halved until the smooth part satisfies
@@ -346,7 +331,7 @@ def prox_gradient(
 
     fx, grad = smooth._value_and_gradient(x)
     _check_gradient(grad, x)
-    (x, *_), trace = _run(cfg, (x, gamma0, fx, grad), step, row, gamma0, x_ref)
+    (x, *_), trace = _run(cfg, (x, gamma0, fx, grad), step, row, gamma0)
     return x, trace
 
 

@@ -24,6 +24,7 @@ from proxkit.problems import (
     oracle_control,
     oracle_lasso,
 )
+from proxkit.splitting import IterTrace
 
 
 def _lasso_pieces(spec):
@@ -334,6 +335,20 @@ def test_control_ssn_names_a_u0_of_the_wrong_length(k):
         control_ssn(np.eye(3), np.ones(3), 1.0, -1.0, 1.0, u0=np.zeros(k))
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        (dict(lo=np.nan), "lo"),  # accepted before: "diverged" after 0 steps
+        (dict(S=np.array([[1.0, np.inf], [0.0, 1.0]])), "s"),
+        (dict(alpha=np.inf), "alpha"),  # accepted before: "converged" at u = 0
+    ],
+)
+def test_control_ssn_names_a_bad_input_in_one_line(bad, field):
+    args = dict(S=np.eye(2), z=np.ones(2), alpha=1.0, lo=-1.0, hi=1.0) | bad
+    with pytest.raises(ValueError, match=f"^control problem: {field} [^\n]*$"):
+        control_ssn(**args)
+
+
 def test_control_ssn_step_rejects_an_infinite_v():
     # v = S'z / alpha overflows while its clip, and so the residual, stays finite
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -538,6 +553,42 @@ def test_ssn_solve_reproduces_the_plain_loop_on_halving_and_underflow(factor, da
     assert res.n_iter == 6
 
 
+# --- one trace type ---------------------------------------------------------------------
+
+
+def test_newton_solvers_return_the_shared_trace():
+    spec = gen_lasso(10, 20, seed=1)
+    grad, hess = _lasso_pieces(spec)
+    alpha = spec.alpha
+    runs = [
+        l1_ssn(grad, hess, alpha, 0.01, np.zeros(10)),
+        moreau_yosida_ssn(lambda u: grad(u) / alpha, hess(None) / alpha, 0.5, np.zeros(10)),
+        ssn_solve(lambda x: x - 1.0, lambda x, r: _toy_system(x, -r), np.zeros(3)),
+    ]
+    for trace in runs:
+        assert isinstance(trace, IterTrace) and trace.converged and trace.n_iter >= 1
+        assert trace.x.tobytes() == trace.iterates[-1].tobytes()
+        assert len(trace.iterates) == len(trace.residuals) == len(trace.step)
+
+
+def test_newton_trace_step_column_holds_the_damping_factors():
+    # Phi(x) = x with the step -3x: the full step doubles ||Phi|| and the half
+    # step halves it, so every step is damped to t = 1/2
+    trace = ssn_solve(lambda x: x.copy(), lambda x, r: _toy_system(x, -3.0 * x),
+                      np.ones(2), tol=1e-300, max_iter=4)
+    assert trace.step == [1.0, 0.5, 0.5, 0.5, 0.5]
+    spec = gen_control(400, seed=3000)  # its full steps are mostly halved
+    trace = control_ssn(spec.s, spec.z, spec.alpha, spec.lo, spec.hi)
+    assert trace.converged and trace.step[0] == 1.0
+    assert min(trace.step) < 1.0
+    assert set(trace.step) <= {2.0**-j for j in range(25)}
+    lines = trace.to_csv().splitlines()
+    assert lines[0] == "iter,objective,residual,gap,step,ms"
+    assert len(lines) == 1 + len(trace.residuals)
+    assert [float(line.split(",")[2]) for line in lines[1:]] == trace.residuals
+    assert [float(line.split(",")[4]) for line in lines[1:]] == trace.step
+
+
 # --- edges of the shared loop ---------------------------------------------------------
 
 
@@ -574,6 +625,15 @@ def test_ssn_solve_stops_at_a_start_that_meets_tol():
     assert res.n_iter == 0
     assert res.residuals == [np.linalg.norm(x0 * 0.5)]
     npt.assert_array_equal(res.x, x0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_ssn_solve_refuses_a_non_finite_start_residual(value):
+    def step(x, r):
+        raise AssertionError("no step is taken from a refused start")
+
+    with pytest.raises(ValueError, match="^ssn_solve: the residual at x0 is not finite$"):
+        ssn_solve(lambda x: x * value, step, np.ones(2))
 
 
 def test_ssn_solve_rejects_max_iter_zero():

@@ -70,8 +70,7 @@ def test_trace_row_zero_and_columns():
     f = Quadratic(q, c)
     x0 = np.ones(4)
     x, trace = proximal_point(f, x0, SolverConfig(gamma=1.0, max_iter=50))
-    assert trace.iters[0] == 0
-    assert trace.residual[0] == np.inf
+    assert trace.residuals[0] == np.inf
     assert math.isnan(trace.gap[0])
     assert trace.objective[0] == pytest.approx(f.value(x0))
     assert all(math.isnan(g) for g in trace.gap)
@@ -106,6 +105,33 @@ def test_store_iterates():
     npt.assert_array_equal(trace.iterates[0], np.ones(4))
 
 
+def _each_solver(name):
+    """(returned iterate, trace) of a short run of the named splitting solver."""
+    q, c, _ = _tiny_quadratic(seed=2)
+    spec, lasso = _lasso_problem(seed=1)
+    pair = CompositeProblem(f=Quadratic(q, c), g=scale(L1(), 0.3))
+    cfg = SolverConfig(gamma=0.5 / lasso.smooth.lipschitz, tau=0.5, sigma=0.5, max_iter=40)
+    if name == "proximal_point":
+        return proximal_point(Quadratic(q, c), np.ones(4), cfg)
+    if name == "prox_gradient":
+        return prox_gradient(lasso, np.zeros(spec.n), cfg, line_search=True)
+    if name == "fista":
+        return fista(lasso, np.zeros(spec.n), cfg)
+    if name == "douglas_rachford":
+        return douglas_rachford(pair, np.ones(4), cfg)
+    x, _, trace = primal_dual(pair, np.ones(4), np.zeros(4), cfg)
+    return x, trace
+
+
+@pytest.mark.parametrize(
+    "name", ["proximal_point", "prox_gradient", "fista", "douglas_rachford", "primal_dual"]
+)
+def test_trace_x_is_the_returned_iterate(name):
+    x, trace = _each_solver(name)
+    assert trace.n_iter > 5
+    assert trace.x.tobytes() == x.tobytes()
+
+
 # --- proximal point ----------------------------------------------------------------
 
 
@@ -123,10 +149,9 @@ def test_proximal_point_fejer_series():
     _, trace = proximal_point(
         Quadratic(q, c),
         np.ones(4) * 3,
-        SolverConfig(gamma=1.0, tol=1e-13, max_iter=200),
-        x_ref=xstar,
+        SolverConfig(gamma=1.0, tol=1e-13, max_iter=200, store_iterates=True),
     )
-    d = trace.fejer
+    d = [norm(x - xstar) for x in trace.iterates]
     assert len(d) == len(trace.objective)
     for a, b in zip(d[1:], d[:-1]):
         assert a <= b + 1e-12
@@ -195,11 +220,12 @@ def test_prox_gradient_on_pure_smooth_is_gradient_descent():
     prob = CompositeProblem(smooth=f, g=Zero())
     gamma = 2.0 / 11.0
     x, trace = prox_gradient(
-        prob, np.array([1.0, 1.0]), SolverConfig(gamma=gamma, tol=1e-300, max_iter=30),
-        x_ref=np.zeros(2),
+        prob,
+        np.array([1.0, 1.0]),
+        SolverConfig(gamma=gamma, tol=1e-300, max_iter=30, store_iterates=True),
     )
     # worst-mode linear contraction at exactly 9/11 per step
-    r = trace.fejer
+    r = [norm(x) for x in trace.iterates]
     for k in range(1, 25):
         assert r[k + 1] / r[k] == pytest.approx(9.0 / 11.0, rel=1e-9)
 
@@ -258,8 +284,8 @@ def test_douglas_rachford_residual_is_y_minus_x():
     _, trace = douglas_rachford(
         prob, np.ones(4), SolverConfig(gamma=0.7, tol=1e-10, max_iter=500)
     )
-    assert trace.residual[-1] <= 1e-10
-    assert trace.residual[0] == np.inf
+    assert trace.residuals[-1] <= 1e-10
+    assert trace.residuals[0] == np.inf
 
 
 # --- primal-dual -------------------------------------------------------------------------
@@ -517,9 +543,9 @@ def test_overlong_step_ends_as_diverged_with_finite_iterate(solver):
             x, trace = prox_gradient(prob, np.zeros(spec.n), cfg)
     assert trace.diverged and not trace.converged
     assert trace.n_iter < cfg.max_iter
-    assert np.all(np.isfinite(x))
+    assert np.all(np.isfinite(x)) and trace.x.tobytes() == x.tobytes()
     assert len(trace) == trace.n_iter + 1
-    assert all(math.isfinite(r) for r in trace.residual[1:])
+    assert all(math.isfinite(r) for r in trace.residuals[1:])
 
 
 def test_primal_dual_overflow_ends_as_diverged_with_finite_iterates():
@@ -757,7 +783,7 @@ def test_prox_gradient_is_bit_identical_to_separate_value_and_gradient(kind, lin
     x_ref, rows = _reference_prox_gradient(problem, x0, cfg.gamma, cfg, line_search)
     assert trace.n_iter > 5
     assert np.array_equal(x, x_ref)
-    assert list(zip(trace.iters, trace.objective, trace.residual, trace.step)) == rows
+    assert list(zip(range(len(trace)), trace.objective, trace.residuals, trace.step)) == rows
 
 
 @pytest.mark.parametrize("line_search", [False, True])
