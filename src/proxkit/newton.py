@@ -16,9 +16,10 @@ to a few hundred.
 ``ssn_solve`` runs one damped Newton step as a kernel on the splitting
 solvers' shared loop, ``splitting._run``, and every solver here returns its
 IterTrace: residuals[k] = ||Phi(x^k)||, step the damping factor, every
-iterate kept.  A residual past 1e6 times its start, or a non-finite one,
-ends a run diverged at the last finite iterate; the blown-up row is not
-recorded.
+iterate kept.  A failed full step is retried at the t = j/16 that P and the
+w at both ends of the step predict to minimize ||Phi|| (no product, exact
+for affine w), then halved if that fails too.  A residual past 1e6 times its
+start, or a non-finite one, ends a run diverged at the last finite iterate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SPDSolveError, as_vector, norm, solve_spd
-from .problems import ControlSpec
+from .problems import ControlSpec, _control_gram
 from .splitting import IterTrace, SolverConfig, _run
 
 __all__ = [
@@ -91,7 +92,7 @@ def _masked_step(block, mask: NewtonDerivativeMask, rhs: np.ndarray) -> NewtonSy
 
 
 def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
-              damped: bool = True) -> IterTrace:
+              damped: bool = True, *, _projection=None) -> IterTrace:
     """Generic semismooth Newton iteration x <- x + t * step(x, Phi(x)).
 
     residual maps x to Phi(x); step maps (x, Phi(x)) to a NewtonSystem.
@@ -102,10 +103,12 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
     first, so the exact one-step behavior on a correctly identified piece is
     preserved, while the backtracking breaks the mask cycles that undamped
     active-set Newton is prone to; if halving underflows, the full step is
-    taken.  A residual that blows up past 1e6
-    times its starting value (or stops being finite) marks the result
-    diverged instead of raising, so outer drivers can react; trace.x is then
-    the last finite iterate and the blown-up row is not recorded.
+    taken.  The private _projection = (w, project) declares Phi(x) = x -
+    project(w(x)); a failed full step is then first retried at _search_t's t
+    and halved as above only if that fails too.  A residual that blows up
+    past 1e6 times its starting value (or stops being finite) marks the
+    result diverged instead of raising, so outer drivers can react; trace.x
+    is then the last finite iterate and the blown-up row is not recorded.
     """
     cfg = SolverConfig(tol=tol, max_iter=max_iter, store_iterates=True)
     x = as_vector(x0).copy()
@@ -121,6 +124,12 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
         x_full = x + d
         x_try, t = x_full, 1.0
         r_try = r_full = residual(x_full)
+        if damped and _projection is not None and norm(r_full) >= nr:
+            t = _search_t(x, d, x_full, *_projection)
+            x_try = x + t * d
+            r_try = residual(x_try)
+            if norm(r_try) >= nr:
+                x_try, r_try, t = x_full, r_full, 1.0
         while damped and norm(r_try) >= nr and t > 2.0**-24:
             t *= 0.5
             x_try = x + t * d
@@ -133,6 +142,15 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
 
     _, trace = _run(cfg, (x, r, nr), newton_step, lambda s: (s[0], math.nan, math.nan), 1.0, res=nr)
     return trace
+
+
+def _search_t(x, d, x_full, w, project):
+    """The t = j/16, 0 < j < 16, least in ||x + t d - project(w0 + t (w1 - w0))||,
+    w0 = w(x), w1 = w(x_full): Phi along the step as predicted, exact for affine w."""
+    t = np.arange(1.0, 16.0)[:, None] / 16.0
+    w0 = w(x)
+    e = x + t * d - project(w0 + t * (w(x_full) - w0))
+    return float(t[np.argmin(np.einsum("ij,ij->i", e, e)), 0])
 
 
 def scaled_soft_threshold(t, gamma: float):
@@ -155,13 +173,15 @@ def _as_hess(hess):
 def _projection_ssn(w_of, project, active, rows, x0, tol, max_iter, damped):
     """ssn_solve on Phi(x) = x - project(w_of(x)); a step masks by active(w) and
     eliminates with the Newton matrix rows rows(x, act).  w is cached on the
-    identity of x: reused at the residual's iterate, recomputed at any other."""
-    last = [None, None]
+    identity of the last two x, so a step and the search reuse the residual's."""
+    seen = []
 
     def w_at(x):
-        if last[0] is not x:
-            last[:] = x, w_of(x)
-        return last[1]
+        for y, w in seen:
+            if y is x:
+                return w
+        seen[:] = seen[-1:] + [(x, w_of(x))]
+        return seen[-1][1]
 
     def residual(x):
         return x - project(w_at(x))
@@ -170,7 +190,8 @@ def _projection_ssn(w_of, project, active, rows, x0, tol, max_iter, damped):
         mask = NewtonDerivativeMask(active(as_vector(w_at(x))))
         return _masked_step(lambda act: rows(x, act), mask, -r)
 
-    return ssn_solve(residual, step, x0, tol=tol, max_iter=max_iter, damped=damped)
+    return ssn_solve(residual, step, x0, tol=tol, max_iter=max_iter, damped=damped,
+                     _projection=(w_at, project))
 
 
 def l1_ssn(grad, hess, alpha: float, gamma: float, x0, tol: float = 1e-10,
@@ -234,7 +255,7 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
     x_start = np.zeros(n) if u0 is None else as_vector(u0)
     if x_start.size != n:
         raise ValueError("control_ssn: u0 does not match S")
-    StS = S.T @ S
+    StS = _control_gram(S)
     Stz = S.T @ z
     B = StS / alpha
     B.flat[:: n + 1] += 1.0

@@ -384,9 +384,18 @@ def oracle_boxqp(spec: BoxQPSpec, mult_tol: float = 1e-10) -> np.ndarray:
     return best
 
 
+def _control_gram(s: np.ndarray) -> np.ndarray:
+    """S'S, or a one-line ValueError naming s where that product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = s.T @ s
+    if not np.isfinite(g).all():
+        raise ValueError("control problem: s is too large (S'S overflows)")
+    return g
+
+
 def control_as_boxqp(spec: ControlSpec) -> BoxQPSpec:
     """The control problem is a box QP with Q = S'S + alpha*I, c = -S'z."""
-    q = spec.s.T @ spec.s
+    q = _control_gram(spec.s)
     q.flat[:: spec.n + 1] += spec.alpha
     return BoxQPSpec(q, -spec.s.T @ spec.z, spec.lo, spec.hi)
 

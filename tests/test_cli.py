@@ -509,6 +509,9 @@ MALFORMED = [
     ("null-lo", "boxqp", {**_BOX, "lo": None}, "boxqp problem: lo"),
     ("huge-int-alpha", "lasso", {**_LASSO, "alpha": 10**400}, "lasso problem: alpha"),
     ("huge-int-entry", "huber", {**_HUBER, "b": [1.0, 10**400]}, "huber problem: b"),
+    # finite entries whose S'S overflows: the line names s, not the q of the box QP
+    ("huge-s", "control", {**_CONTROL, "s": [[1e299, 3e299]]},
+     "control problem: s is too large (S'S overflows)"),
 ]
 
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -341,6 +343,8 @@ def test_control_ssn_names_a_u0_of_the_wrong_length(k):
         (dict(lo=np.nan), "lo"),  # accepted before: "diverged" after 0 steps
         (dict(S=np.array([[1.0, np.inf], [0.0, 1.0]])), "s"),
         (dict(alpha=np.inf), "alpha"),  # accepted before: "converged" at u = 0
+        # finite entries whose S'S overflows; raised "the residual at x0 is not finite"
+        (dict(S=np.array([[1e200, 0.0], [0.0, 1.0]])), r"s is too large \(S'S"),
     ],
 )
 def test_control_ssn_names_a_bad_input_in_one_line(bad, field):
@@ -455,9 +459,13 @@ def test_newton_step_reuses_the_residuals_gradient(monkeypatch, solver):
 # --- the shared loop reproduces the plain Newton iteration ----------------------------
 
 
-def _reference_ssn(residual, step, x0, tol=1e-10, max_iter=50, damped=True):
+def _reference_ssn(residual, step, x0, tol=1e-10, max_iter=50, damped=True, _projection=None):
     """A bare damped/undamped semismooth Newton loop, the reference ssn_solve
-    must reproduce bit for bit; returns (x, residuals, iterates, converged)."""
+    must reproduce bit for bit; returns (x, residuals, iterates, converged).
+    With _projection = (w, project), so that Phi(x) = x - project(w(x)), a
+    full step that fails is first retried at the t = j/16 whose residual,
+    predicted from w at the two ends of the step, is least; halving follows
+    if that retry fails too."""
     x = np.array(x0, dtype=float)
     r = residual(x)
     nr = np.linalg.norm(r)
@@ -469,6 +477,18 @@ def _reference_ssn(residual, step, x0, tol=1e-10, max_iter=50, damped=True):
         x_full = x + d
         x_try, t = x_full, 1.0
         r_try = r_full = residual(x_full)
+        if damped and _projection is not None and np.linalg.norm(r_full) >= nr:
+            w, project = _projection
+            w0, w1 = w(x), w(x_full)
+            predicted = [
+                np.linalg.norm(x + j / 16 * d - project(w0 + j / 16 * (w1 - w0)))
+                for j in range(1, 16)
+            ]
+            t = (1 + int(np.argmin(predicted))) / 16
+            x_try = x + t * d
+            r_try = residual(x_try)
+            if np.linalg.norm(r_try) >= nr:
+                x_try, r_try, t = x_full, r_full, 1.0
         while damped and np.linalg.norm(r_try) >= nr and t > 2.0**-24:
             t *= 0.5
             x_try = x + t * d
@@ -577,11 +597,14 @@ def test_newton_trace_step_column_holds_the_damping_factors():
     trace = ssn_solve(lambda x: x.copy(), lambda x, r: _toy_system(x, -3.0 * x),
                       np.ones(2), tol=1e-300, max_iter=4)
     assert trace.step == [1.0, 0.5, 0.5, 0.5, 0.5]
-    spec = gen_control(400, seed=3000)  # its full steps are mostly halved
+    spec = gen_control(400, seed=3000)  # most of its full steps fail
     trace = control_ssn(spec.s, spec.z, spec.alpha, spec.lo, spec.hi)
     assert trace.converged and trace.step[0] == 1.0
-    assert min(trace.step) < 1.0
-    assert set(trace.step) <= {2.0**-j for j in range(25)}
+    # a failed full step takes a grid value j/16 of the search, or failing
+    # that a power of 2 from halving
+    halving = {2.0**-j for j in range(25)}
+    assert set(trace.step) <= {j / 16 for j in range(1, 16)} | halving
+    assert set(trace.step) - halving
     lines = trace.to_csv().splitlines()
     assert lines[0] == "iter,objective,residual,gap,step,ms"
     assert len(lines) == 1 + len(trace.residuals)
@@ -792,3 +815,138 @@ def test_control_ssn_steps_equal_the_ix_formulation(steps_against_ix):
         res = control_ssn(spec.s, spec.z, alpha, spec.lo, spec.hi, tol=1e-12)
         assert res.converged
     _assert_one_block_call_per_step(seen)
+
+
+# --- damping a failed full step: the search along the step ------------------------
+
+
+def _clip_toy(x):
+    # Phi(x) = x - clip(w(x), -1, 1) with the affine w(x) = x/2 + 1, root x = 1
+    return x - np.clip(0.5 * x + 1.0, -1.0, 1.0)
+
+
+def test_search_takes_the_grid_minimizer_where_halving_takes_one_half():
+    # the step solves the active row with slope 1/4 instead of 1/2, so from
+    # x = -3 the full step overshoots to 7; the half step (x = 2) decreases
+    # ||Phi|| and is what halving takes, while the residual on the segment is
+    # least at t = 6/16 (x = 0.75), next to the root at t = 0.4
+    w = lambda x: 0.5 * x + 1.0
+    project = lambda v: np.clip(v, -1.0, 1.0)
+    step = lambda x, r: _toy_system(x, -r / 0.25)
+    x0 = np.array([-3.0])
+    kwargs = dict(tol=1e-300, max_iter=1)
+    halved = ssn_solve(_clip_toy, step, x0, **kwargs)
+    searched = ssn_solve(_clip_toy, step, x0, _projection=(w, project), **kwargs)
+    assert halved.step == [1.0, 0.5] and halved.iterates[1] == [2.0]
+    grid = [j / 16 for j in range(1, 16)]
+    best = min(grid, key=lambda t: abs(_clip_toy(x0 + t * 10.0)[0]))
+    assert best == 6 / 16
+    assert searched.step == [1.0, best] and searched.iterates[1] == [0.75]
+    assert searched.residuals == [2.5, 0.25]
+
+
+def test_search_that_fails_on_a_nonlinear_w_falls_back_to_halving_bit_for_bit():
+    # Phi(x) = 1 - 2.5x + 64x(1 - x)(x - 1/2) along the fixed step d = 1: the
+    # secant through Phi(0) = 1 and Phi(1) = -1.5 predicts a root near t = 0.4,
+    # but Phi(0.375) = -1.8125 does not decrease ||Phi||, so halving runs as
+    # without the search and takes t = 1/2, then 1/32
+    phi = lambda x: 1.0 - 2.5 * x + 64.0 * x * (1.0 - x) * (x - 0.5)
+    w = lambda x: x - phi(x)
+    seen = []
+
+    def residual(x):
+        seen.append(float(x[0]))
+        return x - w(x)
+
+    step = lambda x, r: _toy_system(x, np.ones(1))
+    x0 = np.zeros(1)
+    kwargs = dict(tol=1e-300, max_iter=2)
+    halved = ssn_solve(residual, step, x0, **kwargs)
+    halving_points = seen[:]
+    seen.clear()
+    searched = ssn_solve(residual, step, x0, _projection=(w, lambda v: v), **kwargs)
+    assert searched.step == halved.step == [1.0, 0.5, 2.0**-5]
+    assert [v.tobytes() for v in searched.iterates] == [v.tobytes() for v in halved.iterates]
+    assert searched.residuals == halved.residuals
+    # each step evaluates one more residual, at the search's failed retry
+    assert [seen.pop(5), seen.pop(2)] == [0.5 + 1 / 16, 0.375]
+    assert seen == halving_points
+
+
+def test_search_reads_w_at_both_ends_of_the_step_from_the_residuals_cache(monkeypatch):
+    spec = gen_lasso(6, 18, seed=4)  # its second and third steps take t = 3/16
+    grad, hess = _lasso_pieces(spec)
+    calls = {"grad": 0, "residual": 0}
+
+    def counting_grad(x):
+        calls["grad"] += 1
+        return grad(x)
+
+    def counting_ssn(residual, step, x0, **kw):
+        def counted(x):
+            calls["residual"] += 1
+            return residual(x)
+
+        return ssn_solve(counted, step, x0, **kw)
+
+    monkeypatch.setattr(newton, "ssn_solve", counting_ssn)
+    gamma = 1.0 / np.linalg.norm(spec.a, 2) ** 2
+    res = l1_ssn(counting_grad, hess, spec.alpha, gamma, np.zeros(spec.n), tol=1e-11)
+    assert res.converged and res.step[2:4] == [3 / 16, 3 / 16]
+    assert calls["grad"] == calls["residual"]
+
+
+def test_control_ssn_mean_steps_at_n400():
+    # from u = 0 most full steps fail; halving took 17.0 steps on average here
+    steps = []
+    for seed in range(3000, 3016):
+        spec = gen_control(400, seed=seed)
+        trace = control_ssn(spec.s, spec.z, spec.alpha, spec.lo, spec.hi)
+        assert trace.converged
+        steps.append(trace.n_iter)
+    assert np.mean(steps) <= 11
+
+
+# --- discretization independence on a 1-D Poisson control problem -------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _poisson_control(N):
+    """The L2-scaled discretization of min 1/2||Su - z||^2 + alpha/2||u||^2 over
+    -1/2 <= u <= 1/2, S the solution operator of -y'' = u on (0, 1) with zero
+    boundary values, on N interior points; returns (S, z, h)."""
+    h = 1.0 / (N + 1)
+    t = h * np.arange(1, N + 1)
+    lap = (2.0 * np.eye(N) - np.eye(N, k=1) - np.eye(N, k=-1)) / h**2
+    z = np.sqrt(h) * (0.05 * np.sin(np.pi * t) + 0.02 * np.sign(t - 0.5))
+    return np.sqrt(h) * np.linalg.inv(lap), z, h
+
+
+MESHES = (50, 100, 200, 400, 800)
+
+
+def _poisson_ssn(N, alpha, u0=None):
+    S, z, h = _poisson_control(N)
+    return control_ssn(S, z, alpha * h, -0.5, 0.5, u0=u0, tol=1e-10, max_iter=100)
+
+
+def test_control_ssn_step_count_is_mesh_independent():
+    steps = []
+    for N in MESHES:
+        trace = _poisson_ssn(N, 1e-4)
+        assert trace.converged, N
+        steps.append(trace.n_iter)
+    assert max(steps) - min(steps) <= 2, steps
+
+
+def test_alpha_continuation_converges_on_every_mesh():
+    # a cold start at alpha = 1e-6 does not converge within 100 steps for
+    # N >= 100; warm-starting down a ladder of alpha does, in few steps
+    for N in MESHES:
+        _, stages = continuation(
+            lambda alpha, u: _poisson_ssn(N, alpha, u),
+            ContinuationSchedule(1e-2, 0.1, 1e-6), np.zeros(N),
+        )
+        assert [s["gamma"] for s in stages] == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+        assert all(s["converged"] for s in stages), N
+        assert sum(s["n_iter"] for s in stages) <= 16, (N, stages)
