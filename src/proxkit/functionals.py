@@ -413,9 +413,6 @@ class Quadratic(ProxFunctional):
         ic = Qinv @ self.c
         return Quadratic(Qinv, -ic, 0.5 * float(self.c @ ic) - self.d)
 
-    def gradient(self, x) -> np.ndarray:
-        return self._gradient(as_vector(x))
-
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.Q @ x + self.c
 

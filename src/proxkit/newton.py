@@ -16,10 +16,11 @@ to a few hundred.
 ``ssn_solve`` runs one damped Newton step as a kernel on the splitting
 solvers' shared loop, ``splitting._run``, and every solver here returns its
 IterTrace: residuals[k] = ||Phi(x^k)||, step the damping factor, every
-iterate kept.  A failed full step is retried at the t = j/16 that P and the
-w at both ends of the step predict to minimize ||Phi|| (no product, exact
-for affine w), then halved if that fails too.  A residual past 1e6 times its
-start, or a non-finite one, ends a run diverged at the last finite iterate.
+iterate kept.  A step takes the first t in one trial list that lowers
+||Phi||: 1, then the j/16 that P and the w at both ends of the step predict
+to be best (no product, exact for affine w), then 1/2, 1/4, ... 2**-24.  A
+residual past 1e6 times its start, or a non-finite one, ends a run diverged
+at the last finite iterate.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SPDSolveError, as_vector, norm, solve_spd
-from .problems import ControlSpec, _control_gram
+from .problems import ControlSpec, _control_normal
 from .splitting import IterTrace, SolverConfig, _run
 
 __all__ = [
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _DIVERGE_FACTOR = 1e6
+_HALVINGS = tuple(0.5**j for j in range(1, 25))  # a damped step's last trials: 2.0**-1 ... 2.0**-24
 
 
 @dataclass
@@ -98,17 +100,16 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
     residual maps x to Phi(x); step maps (x, Phi(x)) to a NewtonSystem.
     Runs on the shared loop ``splitting._run`` (SolverConfig checks tol and
     max_iter >= 1) and stops when ||Phi(x)|| <= tol, at x0 included; a
-    non-finite Phi(x0) raises ValueError.  With damped=True the step is
-    halved until the residual norm decreases; the full step is always tried
-    first, so the exact one-step behavior on a correctly identified piece is
-    preserved, while the backtracking breaks the mask cycles that undamped
-    active-set Newton is prone to; if halving underflows, the full step is
-    taken.  The private _projection = (w, project) declares Phi(x) = x -
-    project(w(x)); a failed full step is then first retried at _search_t's t
-    and halved as above only if that fails too.  A residual that blows up
-    past 1e6 times its starting value (or stops being finite) marks the
-    result diverged instead of raising, so outer drivers can react; trace.x
-    is then the last finite iterate and the blown-up row is not recorded.
+    non-finite Phi(x0) raises ValueError.  A step takes the first t of a trial
+    list whose ||Phi|| is below the current one, and else the full step: t = 1,
+    then with damped=True the t of _search_t, given the private _projection =
+    (w, project) that declares Phi(x) = x - project(w(x)), and t = 1/2, 1/4,
+    ... 2**-24.  Trying the full step first keeps the one-step solve on a
+    correctly identified piece; the damping breaks the mask cycles that
+    undamped active-set Newton is prone to.  A residual that blows up past
+    1e6 times its starting value (or stops being finite) marks the result
+    diverged instead of raising, so outer drivers can react; trace.x is then
+    the last finite iterate and the blown-up row is not recorded.
     """
     cfg = SolverConfig(tol=tol, max_iter=max_iter, store_iterates=True)
     x = as_vector(x0).copy()
@@ -118,26 +119,24 @@ def ssn_solve(residual, step, x0, tol: float = 1e-10, max_iter: int = 50,
         raise ValueError("ssn_solve: the residual at x0 is not finite")
     blowup = _DIVERGE_FACTOR * max(nr, tol)
 
+    def trials(x, d):  # (x + t d, t), lazily: _search_t reads the w cached at x + d
+        x_full = x + d
+        yield x_full, 1.0
+        search = (_search_t(x, d, x_full, *_projection),) if damped and _projection else ()
+        for t in search + _HALVINGS if damped else ():
+            yield x + t * d, t
+
     def newton_step(state, k):
         x, r, nr = state
-        d = step(x, r).step
-        x_full = x + d
-        x_try, t = x_full, 1.0
-        r_try = r_full = residual(x_full)
-        if damped and _projection is not None and norm(r_full) >= nr:
-            t = _search_t(x, d, x_full, *_projection)
-            x_try = x + t * d
+        full = None
+        for x_try, t in trials(x, step(x, r).step):
             r_try = residual(x_try)
-            if norm(r_try) >= nr:
-                x_try, r_try, t = x_full, r_full, 1.0
-        while damped and norm(r_try) >= nr and t > 2.0**-24:
-            t *= 0.5
-            x_try = x + t * d
-            r_try = residual(x_try)
-        if t <= 2.0**-24:
-            x_try, r_try, t = x_full, r_full, 1.0
-        nr = norm(r_try)
-        # the loop reads an infinite residual as divergence
+            full = full or (x_try, r_try, t)
+            if not norm(r_try) >= nr:  # a NaN is taken too
+                break
+        else:  # no trial lowers ||Phi||
+            x_try, r_try, t = full
+        nr = norm(r_try)  # the loop reads an infinite or NaN residual as divergence
         return (x_try, r_try, nr), math.inf if nr > blowup else nr, t
 
     _, trace = _run(cfg, (x, r, nr), newton_step, lambda s: (s[0], math.nan, math.nan), 1.0, res=nr)
@@ -251,12 +250,11 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
     S, z, alpha, lo and hi are checked as a problems.ControlSpec.
     """
     spec = ControlSpec(S, z, alpha, lo, hi)
-    S, z, alpha, lo, hi, n = spec.s, spec.z, spec.alpha, spec.lo, spec.hi, spec.n
+    alpha, lo, hi, n = spec.alpha, spec.lo, spec.hi, spec.n
     x_start = np.zeros(n) if u0 is None else as_vector(u0)
     if x_start.size != n:
         raise ValueError("control_ssn: u0 does not match S")
-    StS = _control_gram(S)
-    Stz = S.T @ z
+    StS, Stz = _control_normal(spec)
     B = StS / alpha
     B.flat[:: n + 1] += 1.0
     return _projection_ssn(

@@ -384,20 +384,24 @@ def oracle_boxqp(spec: BoxQPSpec, mult_tol: float = 1e-10) -> np.ndarray:
     return best
 
 
-def _control_gram(s: np.ndarray) -> np.ndarray:
-    """S'S, or a one-line ValueError naming s where that product overflows."""
+def _control_normal(spec: ControlSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(S'S, S'z), or a one-line ValueError naming s or z where one overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g = s.T @ s
+        g, sz = spec.s.T @ spec.s, spec.s.T @ spec.z
     if not np.isfinite(g).all():
         raise ValueError("control problem: s is too large (S'S overflows)")
-    return g
+    if not np.isfinite(sz).all():
+        raise ValueError("control problem: z is too large for s (S'z overflows)")
+    return g, sz
 
 
 def control_as_boxqp(spec: ControlSpec) -> BoxQPSpec:
     """The control problem is a box QP with Q = S'S + alpha*I, c = -S'z."""
-    q = _control_gram(spec.s)
+    q, sz = _control_normal(spec)
+    if float(q.diagonal().max()) + spec.alpha > _FLOAT_MAX:  # a Python sum: inf, no warning
+        raise ValueError("control problem: alpha is too large for s (S'S + alpha*I overflows)")
     q.flat[:: spec.n + 1] += spec.alpha
-    return BoxQPSpec(q, -spec.s.T @ spec.z, spec.lo, spec.hi)
+    return BoxQPSpec(q, -sz, spec.lo, spec.hi)
 
 
 def oracle_control(spec: ControlSpec) -> np.ndarray:

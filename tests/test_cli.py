@@ -512,6 +512,13 @@ MALFORMED = [
     # finite entries whose S'S overflows: the line names s, not the q of the box QP
     ("huge-s", "control", {**_CONTROL, "s": [[1e299, 3e299]]},
      "control problem: s is too large (S'S overflows)"),
+    # finite S'S whose S'z, or S'S + alpha*I, overflows: the line names z or alpha
+    ("huge-s-z", "control", {**_CONTROL, "s": [[1e150, 0.0], [0.0, 1.0]], "z": [1e200, 1.0]},
+     "control problem: z is too large for s (S'z overflows)"),
+    ("huge-s-alpha", "control",
+     {**_CONTROL, "s": [[1.3e154, 0.0], [0.0, 1.0]], "z": [1.0, 1.0], "alpha": 1.7e308},
+     "control problem: alpha is too large for s (S'S + alpha*I overflows)"),
+    ("list-params", "lasso", [1, 2], "lasso problem: params must be an object"),
 ]
 
 

@@ -182,14 +182,21 @@ def test_ssn_solve_flags_divergence_instead_of_raising():
 
 
 def test_ssn_solve_flags_nonfinite():
+    # a NaN residual norm does not compare >= the current one, so a damped step takes the
+    # full step's NaN as well, without a further trial
+    seen = []
+
     def residual(x):
+        seen.append(x.copy())
         return x.copy()
 
     def step(x, r):
         return _toy_system(x, np.full_like(x, np.nan))
 
-    res = ssn_solve(residual, step, np.ones(2), tol=1e-12, max_iter=5, damped=False)
-    assert res.diverged
+    for damped in (False, True):
+        seen.clear()
+        res = ssn_solve(residual, step, np.ones(2), tol=1e-12, max_iter=5, damped=damped)
+        assert res.diverged and res.n_iter == 0 and len(seen) == 2
 
 
 def test_newton_result_counts_iterations():
@@ -231,6 +238,33 @@ def test_moreau_yosida_ssn_solves_regularized_problem():
             assert g[i] == pytest.approx(1.0, abs=1e-9)
         else:
             assert abs(g[i]) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("alpha, gamma", [(0.0, 1.0), (1.0, -1.0), (np.nan, 1.0)])
+def test_l1_ssn_rejects_a_non_positive_alpha_or_gamma(alpha, gamma):
+    with pytest.raises(ValueError, match="^l1_ssn: alpha and gamma must be positive$"):
+        l1_ssn(lambda x: x, np.eye(2), alpha, gamma, np.zeros(2))
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+def test_moreau_yosida_ssn_rejects_a_non_positive_gamma(gamma):
+    with pytest.raises(ValueError, match="^moreau_yosida_ssn: gamma must be positive$"):
+        moreau_yosida_ssn(lambda u: u, np.eye(2), gamma, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(gamma0=0.0), "gamma0 and gamma_min must be positive"),
+        (dict(gamma_min=-1.0), "gamma0 and gamma_min must be positive"),
+        (dict(factor=1.0), r"factor must lie in \(0, 1\)"),
+        (dict(factor=0.0), r"factor must lie in \(0, 1\)"),
+        (dict(gamma0=0.5, gamma_min=1.0), "gamma_min must not exceed gamma0"),
+    ],
+)
+def test_continuation_schedule_rejects_a_bad_ladder(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ContinuationSchedule(**kwargs)
 
 
 def test_continuation_schedule_is_exact_halving():
@@ -345,6 +379,9 @@ def test_control_ssn_names_a_u0_of_the_wrong_length(k):
         (dict(alpha=np.inf), "alpha"),  # accepted before: "converged" at u = 0
         # finite entries whose S'S overflows; raised "the residual at x0 is not finite"
         (dict(S=np.array([[1e200, 0.0], [0.0, 1.0]])), r"s is too large \(S'S"),
+        # a finite S'S whose S'z overflows; raised "vector entries must be finite"
+        (dict(S=np.array([[1e150, 0.0], [0.0, 1.0]]), z=np.array([1e200, 1.0])),
+         r"z is too large for s \(S'z"),
     ],
 )
 def test_control_ssn_names_a_bad_input_in_one_line(bad, field):
@@ -354,9 +391,9 @@ def test_control_ssn_names_a_bad_input_in_one_line(bad, field):
 
 
 def test_control_ssn_step_rejects_an_infinite_v():
-    # v = S'z / alpha overflows while its clip, and so the residual, stays finite
+    # v = S'z / alpha overflows while S'z, the clip of v and so the residual stay finite
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        control_ssn(1e10 * np.eye(2), np.full(2, 1e300), 1.0, -1.0, 1.0)
+        control_ssn(np.eye(2), np.full(2, 1e300), 1e-10, -1.0, 1.0)
 
 
 # --- diagnostics -----------------------------------------------------------------------------
@@ -461,50 +498,51 @@ def test_newton_step_reuses_the_residuals_gradient(monkeypatch, solver):
 
 def _reference_ssn(residual, step, x0, tol=1e-10, max_iter=50, damped=True, _projection=None):
     """A bare damped/undamped semismooth Newton loop, the reference ssn_solve
-    must reproduce bit for bit; returns (x, residuals, iterates, converged).
-    With _projection = (w, project), so that Phi(x) = x - project(w(x)), a
-    full step that fails is first retried at the t = j/16 whose residual,
-    predicted from w at the two ends of the step, is least; halving follows
-    if that retry fails too."""
+    must reproduce bit for bit; returns (x, residuals, iterates, steps,
+    converged).  A step tries t = 1, then, if damped, the search's t (given
+    _projection) and t = 2**-1 ... 2**-24, and takes the first t whose residual
+    norm is below the current one, or t = 1 if none is.  With _projection =
+    (w, project), so that Phi(x) = x - project(w(x)), the search's t is the
+    j/16 whose residual, predicted from w at the two ends of the step, is least."""
     x = np.array(x0, dtype=float)
     r = residual(x)
     nr = np.linalg.norm(r)
-    residuals, iterates = [nr], [x.copy()]
+    residuals, iterates, steps = [nr], [x.copy()], [1.0]
     for _ in range(max_iter):
         if nr <= tol:
             break
         d = step(x, r).step
-        x_full = x + d
-        x_try, t = x_full, 1.0
-        r_try = r_full = residual(x_full)
-        if damped and _projection is not None and np.linalg.norm(r_full) >= nr:
+        trials = [1.0]
+        if damped and _projection is not None:
             w, project = _projection
-            w0, w1 = w(x), w(x_full)
+            w0, w1 = w(x), w(x + d)
             predicted = [
                 np.linalg.norm(x + j / 16 * d - project(w0 + j / 16 * (w1 - w0)))
                 for j in range(1, 16)
             ]
-            t = (1 + int(np.argmin(predicted))) / 16
-            x_try = x + t * d
-            r_try = residual(x_try)
-            if np.linalg.norm(r_try) >= nr:
-                x_try, r_try, t = x_full, r_full, 1.0
-        while damped and np.linalg.norm(r_try) >= nr and t > 2.0**-24:
-            t *= 0.5
-            x_try = x + t * d
-            r_try = residual(x_try)
-        x, r = (x_full, r_full) if t <= 2.0**-24 else (x_try, r_try)
+            trials.append((1 + int(np.argmin(predicted))) / 16)
+        if damped:
+            trials += [2.0**-j for j in range(1, 25)]
+        for t in trials:
+            if np.linalg.norm(residual(x + t * d)) < nr:
+                break
+        else:
+            t = 1.0
+        x = x + t * d
+        r = residual(x)
         nr = np.linalg.norm(r)
         residuals.append(nr)
         iterates.append(x.copy())
+        steps.append(t)
         assert np.isfinite(nr) and nr <= 1e6 * max(residuals[0], tol)
-    return x, residuals, iterates, nr <= tol
+    return x, residuals, iterates, steps, nr <= tol
 
 
 def _assert_matches_reference(res, ref):
-    x, residuals, iterates, converged = ref
+    x, residuals, iterates, steps, converged = ref
     assert res.residuals == residuals
     assert [v.tobytes() for v in res.iterates] == [v.tobytes() for v in iterates]
+    assert res.step == steps
     assert res.x.tobytes() == x.tobytes()
     assert res.converged == converged and not res.diverged
 
@@ -571,6 +609,24 @@ def test_ssn_solve_reproduces_the_plain_loop_on_halving_and_underflow(factor, da
     res = ssn_solve(residual, step, x0, **kwargs)
     _assert_matches_reference(res, _reference_ssn(residual, step, x0, **kwargs))
     assert res.n_iter == 6
+
+
+def test_the_last_halving_is_taken_when_it_alone_lowers_the_residual():
+    # ||Phi|| is 1 everywhere but at x = 1 + 2**-24, where it is 0.1: from x = 1
+    # along d = 1 no trial but the last one, t = 2**-24, lowers it
+    edge = 1.0 + 2.0**-24
+
+    def residual(x):
+        return np.array([0.1 if x[0] == edge else 1.0])
+
+    def step(x, r):
+        return _toy_system(x, np.ones(1))
+
+    x0 = np.ones(1)
+    res = ssn_solve(residual, step, x0, tol=0.5, max_iter=1)
+    assert res.converged and res.step == [1.0, 2.0**-24] and res.residuals == [1.0, 0.1]
+    assert res.x.tobytes() == np.array([edge]).tobytes()
+    _assert_matches_reference(res, _reference_ssn(residual, step, x0, tol=0.5, max_iter=1))
 
 
 # --- one trace type ---------------------------------------------------------------------
