@@ -6,6 +6,11 @@ Subcommands
   check  run a named invariant suite and report worst-case slack
   bench  run every applicable solver on one instance and tabulate
 
+solve and bench load an instance and judge each run the same way: a run is
+converged (yes), did not converge (NO) or diverged (DIV), and its objective
+and optimality are computed with numpy's overflow warnings off, so a run
+that overflows still ends in one line.
+
 Exit codes: 0 success, 2 usage or validation failure (always before any
 numerical work) or an output directory that could not be written, 3 a solver
 that diverged or failed to converge, or a check suite that failed.
@@ -128,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--problem", choices=tuple(problems.KINDS), required=True)
     b.add_argument("--n", type=int, default=8)
     b.add_argument("--m", type=int, default=None)
+    b.set_defaults(problem_file=None, gamma=None, tau=None, sigma=None)  # solve's, never given
     _add_common(b)
     return ap
 
@@ -170,6 +176,11 @@ def _write_json(path: str, data):
         fh.write(json.dumps(data, sort_keys=True) + "\n")
 
 
+def _manifest(args, **fields) -> dict:
+    """A command's manifest.json: the command, version and seed every command records."""
+    return {"command": args.command, "version": __version__, "seed": args.seed, **fields}
+
+
 # --- gen ------------------------------------------------------------------------
 
 
@@ -180,118 +191,117 @@ def cmd_gen(args) -> int:
     if out is None:
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         return 0
-    manifest = {
-        "command": "gen",
-        "version": __version__,
-        "problem": args.problem,
-        "n": args.n,
-        "m": args.m,
-        "seed": args.seed,
-        "outputs": {"problem": "problem.json"},
-    }
+    manifest = _manifest(
+        args, problem=args.problem, n=args.n, m=args.m, outputs={"problem": "problem.json"}
+    )
     _publish(out, {"problem.json": doc, "manifest.json": manifest})
     print(f"wrote {out}/problem.json")
     return 0
 
 
-# --- solve ------------------------------------------------------------------------
+# --- solve and bench ------------------------------------------------------------
 
 
-def _load_spec(args):
+def _load(args):
+    """(spec, form, source): the instance of --problem-file or --problem, the form
+    its solvers run on (a control spec's control_as_boxqp) and where it came from."""
     if args.problem_file and args.problem:
         raise UsageError("give either --problem-file or --problem, not both")
     if args.problem_file:
         with open(args.problem_file) as fh:
-            return problems.problem_from_json(json.load(fh)), args.problem_file
-    if args.problem:
-        return problems.KINDS[args.problem].generate(args.n, args.m, args.seed), "generated"
-    raise UsageError("need --problem-file or --problem")
+            spec, source = problems.problem_from_json(json.load(fh)), args.problem_file
+    elif args.problem:
+        spec, source = problems.KINDS[args.problem].generate(args.n, args.m, args.seed), "generated"
+    else:
+        raise UsageError("need --problem-file or --problem")
+    form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
+    return spec, form, source
 
 
-def _solvers_for(kind: str) -> list:
-    """The solvers whose form the kind's registry entry builds (boxqp's for control)."""
-    return [s for s, form in SOLVERS.items() if getattr(problems.KINDS[kind], form)]
-
-
-def _run_solver(spec, solver: str, args, smooth=None):
-    """Dispatch (spec, solver) to a configured run on its registry form, a control
-    spec given as its control_as_boxqp; UsageError before any work when the
-    solver does not apply.  smooth, when given, is the instance's smooth form."""
-    build = getattr(problems.KINDS[spec.kind], SOLVERS[solver])
+def _run(spec, form, solver: str, args, smooth=None):
+    """Run solver on form and judge the run: (x, trace, verdict, objective,
+    optimality), verdict yes, NO or DIV.  UsageError before any work when the
+    solver does not apply.  smooth, when given, is the instance's smooth form.
+    A diverging run overflows on its way out, and so may the objective of a
+    finite x: numpy's overflow warnings are off for the run and its report."""
+    build = getattr(problems.KINDS[form.kind], SOLVERS[solver])
     if build is None:
-        raise UsageError(f"solver {solver} does not apply to the {spec.kind} problem")
-    x0 = np.zeros(spec.n)
-
-    if solver == "dr":
-        gamma = 1.0 if args.gamma is None else args.gamma
-        cfg = SolverConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
-        return douglas_rachford(build(spec), x0, cfg)
-
-    if solver == "pdhg":
-        comp = build(spec)
-        step = 0.9 / max(op_norm(comp.a) if comp.a is not None else 1.0, 1e-12)
-        tau = step if args.tau is None else args.tau
-        sigma = step if args.sigma is None else args.sigma
-        cfg = SolverConfig(tau=tau, sigma=sigma, tol=args.tol, max_iter=args.max_iter)
-        y0 = np.zeros(comp.a.n_out if comp.a is not None else spec.n)
-        x, _y, trace = primal_dual(comp, x0, y0, cfg)
-        return x, trace
-
-    comp = smooth or build(spec)
-    cfg = SolverConfig(gamma=args.gamma, tol=args.tol, max_iter=args.max_iter)
-    if solver == "fista":
-        return fista(comp, x0, cfg)
-    return prox_gradient(comp, x0, cfg, line_search=(solver == "pg-ls"))
+        raise UsageError(f"solver {solver} does not apply to the {form.kind} problem")
+    x0 = np.zeros(form.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if solver == "dr":
+            gamma = 1.0 if args.gamma is None else args.gamma
+            cfg = SolverConfig(gamma=gamma, tol=args.tol, max_iter=args.max_iter)
+            x, trace = douglas_rachford(build(form), x0, cfg)
+        elif solver == "pdhg":
+            comp = build(form)
+            step = 0.9 / max(op_norm(comp.a) if comp.a is not None else 1.0, 1e-12)
+            tau = step if args.tau is None else args.tau
+            sigma = step if args.sigma is None else args.sigma
+            cfg = SolverConfig(tau=tau, sigma=sigma, tol=args.tol, max_iter=args.max_iter)
+            y0 = np.zeros(comp.a.n_out if comp.a is not None else form.n)
+            x, _y, trace = primal_dual(comp, x0, y0, cfg)
+        else:
+            comp = smooth or build(form)
+            cfg = SolverConfig(gamma=args.gamma, tol=args.tol, max_iter=args.max_iter)
+            if solver == "fista":
+                x, trace = fista(comp, x0, cfg)
+            else:
+                x, trace = prox_gradient(comp, x0, cfg, line_search=(solver == "pg-ls"))
+        obj, kkt = spec.objective(x), problems.kkt_residual(form, x)
+    verdict = "DIV" if trace.diverged else "yes" if trace.converged else "NO"
+    return x, trace, verdict, obj, kkt
 
 
 def cmd_solve(args) -> int:
     out = _check_out(args.out)
-    spec, source = _load_spec(args)
-    form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
-    # a diverging run overflows on its way out; the trace reports that instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, trace = _run_solver(form, args.solver, args)
-    if trace.diverged:
-        print(
-            f"{args.solver} on {spec.kind} n={spec.n}: diverged at iteration "
-            f"{trace.n_iter + 1} (non-finite residual)"
-        )
+    spec, form, source = _load(args)
+    x, trace, verdict, obj, kkt = _run(spec, form, args.solver, args)
+    head = f"{args.solver} on {spec.kind} n={spec.n}:"
+    if verdict == "DIV":
+        print(f"{head} diverged at iteration {trace.n_iter + 1} (non-finite residual)")
         return 3
-    obj = spec.objective(x)
-    kkt = problems.kkt_residual(form, x)
-    status = "converged" if trace.converged else "did not converge"
-    print(
-        f"{args.solver} on {spec.kind} n={spec.n}: {status} "
-        f"after {trace.n_iter} iterations, objective {obj:.12g}, "
-        f"optimality {kkt:.3e}"
-    )
+    status = "converged" if verdict == "yes" else "did not converge"
+    print(f"{head} {status} after {trace.n_iter} iterations, objective {obj:.12g}, "
+          f"optimality {kkt:.3e}")
     if out is not None:
-        summary = {
-            "objective": obj,
-            "kkt_residual": kkt,
-            "converged": trace.converged,
-            "iterations": trace.n_iter,
-        }
-        manifest = {
-            "command": "solve",
-            "version": __version__,
-            "problem": {"kind": spec.kind, "n": spec.n, "source": source},
-            "solver": args.solver,
-            "seed": args.seed,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "gamma": args.gamma,
-            "tau": args.tau,
-            "sigma": args.sigma,
-            **summary,
-            "outputs": {"trace": "trace.csv", "solution": "solution.json"},
-        }
+        summary = {"objective": obj, "kkt_residual": kkt, "converged": trace.converged,
+                   "iterations": trace.n_iter}
+        manifest = _manifest(
+            args, problem={"kind": spec.kind, "n": spec.n, "source": source}, solver=args.solver,
+            tol=args.tol, max_iter=args.max_iter, gamma=args.gamma, tau=args.tau, sigma=args.sigma,
+            **summary, outputs={"trace": "trace.csv", "solution": "solution.json"},
+        )
         solution = {"x": [float(v) for v in x], **summary}
         _publish(
             out, {"trace.csv": trace.to_csv(), "solution.json": solution, "manifest.json": manifest}
         )
         print(f"wrote {out}/trace.csv")
-    return 0 if trace.converged else 3
+    return 0 if verdict == "yes" else 3
+
+
+def cmd_bench(args) -> int:
+    out = _check_out(args.out)
+    spec, form, _ = _load(args)
+    solvers = [s for s, build in SOLVERS.items() if getattr(problems.KINDS[form.kind], build)]
+    smooth = problems.KINDS[form.kind].smooth(form)
+    rows, files = [], {}
+    for solver in solvers:
+        _, trace, verdict, obj, kkt = _run(spec, form, solver, args, smooth)
+        rows.append((solver, trace.n_iter, verdict, obj, kkt, trace.ms[-1] if trace.ms else 0.0))
+        if out is not None:
+            files[f"trace_{solver}.csv"] = trace.to_csv()
+    print(f"{'solver':8} {'iters':>6} {'conv':>5} {'objective':>20} {'optimality':>12} {'ms':>9}")
+    for r in rows:
+        print(f"{r[0]:8} {r[1]:>6d} {r[2]:>5} {r[3]:>20.12g} {r[4]:>12.3e} {r[5]:>9.2f}")
+    if out is not None:
+        files["manifest.json"] = _manifest(
+            args, problem=args.problem, n=args.n, m=args.m, tol=args.tol, max_iter=args.max_iter,
+            solvers=solvers, outputs={s: f"trace_{s}.csv" for s in solvers},
+        )
+        _publish(out, files)
+        print(f"wrote {out}/")
+    return 0 if all(r[2] == "yes" for r in rows) else 3
 
 
 # --- check ------------------------------------------------------------------------
@@ -444,53 +454,6 @@ def cmd_check(args) -> int:
             f"(allowed {tol:.1e}) {'PASS' if ok else 'FAIL'}"
         )
     return 3 if failed else 0
-
-
-# --- bench ------------------------------------------------------------------------
-
-
-def cmd_bench(args) -> int:
-    out = _check_out(args.out)
-    spec = problems.KINDS[args.problem].generate(args.n, args.m, args.seed)
-    form = problems.control_as_boxqp(spec) if spec.kind == "control" else spec
-    solvers = _solvers_for(form.kind)
-    rows, files = [], {}
-    ns = argparse.Namespace(**vars(args), gamma=None, tau=None, sigma=None)
-    smooth = problems.KINDS[form.kind].smooth(form)
-    for solver in solvers:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x, trace = _run_solver(form, solver, ns, smooth)
-            rows.append(
-                (
-                    solver,
-                    trace.n_iter,
-                    "DIV" if trace.diverged else "yes" if trace.converged else "NO",
-                    spec.objective(x),
-                    problems.kkt_residual(form, x),
-                    trace.ms[-1] if trace.ms else 0.0,
-                )
-            )
-        if out is not None:
-            files[f"trace_{solver}.csv"] = trace.to_csv()
-    print(f"{'solver':8} {'iters':>6} {'conv':>5} {'objective':>20} {'optimality':>12} {'ms':>9}")
-    for r in rows:
-        print(f"{r[0]:8} {r[1]:>6d} {r[2]:>5} {r[3]:>20.12g} {r[4]:>12.3e} {r[5]:>9.2f}")
-    if out is not None:
-        files["manifest.json"] = {
-            "command": "bench",
-            "version": __version__,
-            "problem": args.problem,
-            "n": args.n,
-            "m": args.m,
-            "seed": args.seed,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "solvers": solvers,
-            "outputs": {s: f"trace_{s}.csv" for s in solvers},
-        }
-        _publish(out, files)
-        print(f"wrote {out}/")
-    return 0 if all(r[2] == "yes" for r in rows) else 3
 
 
 # --- entry ------------------------------------------------------------------------

@@ -255,7 +255,10 @@ def control_ssn(S, z, alpha: float, lo, hi, u0=None, tol: float = 1e-10,
     if x_start.size != n:
         raise ValueError("control_ssn: u0 does not match S")
     StS, Stz = _control_normal(spec)
-    B = StS / alpha
+    with np.errstate(over="ignore"):
+        B, v_finite = StS / alpha, np.isfinite(Stz / alpha).all()
+    if not (v_finite and np.isfinite(B).all()):
+        raise ValueError("control problem: alpha is too small (S'S/alpha or S'z/alpha overflows)")
     B.flat[:: n + 1] += 1.0
     return _projection_ssn(
         lambda u: (Stz - StS @ u) / alpha,

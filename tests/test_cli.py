@@ -147,6 +147,24 @@ def test_solve_divergence_exit_code(capsys):
     assert "Traceback" not in out + err
 
 
+# a control file whose objective 1/2||Su - z||^2 overflows at every iterate
+OVERFLOWING_OBJECTIVE = {
+    "kind": "control", "params": {"s": [[1]], "z": [2e154], "alpha": 1, "lo": -1, "hi": 1}
+}
+
+
+@pytest.mark.parametrize("solver", ["pg", "pg-ls", "fista", "dr", "pdhg"])
+def test_solve_whose_objective_overflows_prints_one_line(solver, tmp_path, capsys):
+    # the overflow warnings are off for the run and its report alike, so no
+    # numpy warning line comes first (and under pytest's error filter, no traceback)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(OVERFLOWING_OBJECTIVE))
+    code, out, err = run_main(["solve", "--solver", solver, "--problem-file", str(path)], capsys)
+    assert code in (0, 3)
+    assert len(out.splitlines()) == 1, out
+    assert err == ""
+
+
 def test_solve_rejects_unsupported_pairings(capsys):
     code, _, err = run_main(
         ["solve", "--solver", "dr", "--problem", "huber", "--n", "4"], capsys

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -36,6 +37,8 @@ from proxkit.functionals import (
     yosida,
 )
 from proxkit.linalg import DimensionMismatchError, SPDSolveError
+from proxkit.problems import gen_boxqp, kkt_residual
+from proxkit.splitting import SmoothFn, dr_as_pdhg_check
 
 
 # --- closed-form prox values ------------------------------------------------
@@ -769,3 +772,72 @@ def test_conjugate_is_built_once_and_equals_a_fresh_build():
             assert np.float64(conj._value(x)).tobytes() == np.float64(ref._value(x)).tobytes()
             for gamma in (0.3, 1.0, 4.0):
                 assert conj._prox(gamma, x).tobytes() == ref._prox(gamma, x).tobytes(), name
+
+
+# --- input guards of the public API ------------------------------------------------------
+
+
+def test_l2_ball_of_radius_zero_is_the_origin():
+    ball = L2BallIndicator(0.0)
+    # +0.0 everywhere, where the radial scaling 0 * x would give -0.0 at x_1 < 0
+    assert ball.prox(1.0, np.array([-3.0, 4.0])).tobytes() == np.zeros(2).tobytes()
+    assert isinstance(ball.conjugate(), Zero)
+
+
+_PIECE = (lambda t: t, lambda t: 1.0)
+_Q2 = Quadratic(np.eye(2), np.zeros(2))  # a functional of fixed dimension 2
+
+# (call, exception, message) for each guard that no other test reaches
+GUARDS = [
+    pytest.param(lambda: BoxIndicator(np.zeros((2, 2)), 1.0), DimensionMismatchError,
+                 "bounds must be scalars or 1-d", id="box-2d-bound"),
+    pytest.param(lambda: BoxIndicator(np.nan, 1.0), ValueError,
+                 "bounds must not be NaN", id="box-nan-bound"),
+    pytest.param(lambda: BoxIndicator([0.0, 2.0], 1.0), ValueError,
+                 "need lo <= hi per coordinate", id="box-lo-above-hi"),
+    pytest.param(lambda: BoxIndicator(np.inf, np.inf), ValueError, "empty box", id="box-empty"),
+    pytest.param(lambda: InfBallIndicator(-1.0), ValueError,
+                 "radius must be finite and >= 0", id="inf-ball-negative-radius"),
+    pytest.param(lambda: L2BallIndicator(np.inf), ValueError,
+                 "radius must be finite and >= 0", id="l2-ball-infinite-radius"),
+    pytest.param(lambda: Quadratic(np.ones((2, 3)), np.zeros(2)), DimensionMismatchError,
+                 "Q must be square", id="quadratic-q-not-square"),
+    pytest.param(lambda: Quadratic(np.eye(2), np.zeros(3)), DimensionMismatchError,
+                 "c does not match Q", id="quadratic-c-length"),
+    pytest.param(lambda: Scaled(0.0, L1()), ValueError,
+                 "alpha must be positive", id="scaled-zero-alpha"),
+    pytest.param(lambda: shift(_Q2, np.ones(3)), DimensionMismatchError,
+                 "shift does not match inner dimension", id="shift-length"),
+    pytest.param(lambda: tilt(_Q2, np.ones(3)), DimensionMismatchError,
+                 "tilt does not match inner dimension", id="tilt-length"),
+    pytest.param(lambda: SeparableSum([]), ValueError,
+                 "need at least one piece", id="separable-sum-empty"),
+    pytest.param(lambda: SeparableSum([_Q2]), DimensionMismatchError,
+                 "pieces must be scalar functionals", id="separable-sum-vector-piece"),
+    pytest.param(lambda: prox_conjugate(L1(), 0.0, np.ones(2)), ValueError,
+                 "prox_conjugate: gamma must be positive", id="prox-conjugate-gamma"),
+    pytest.param(lambda: moreau_envelope(L1(), -1.0, np.ones(2)), ValueError,
+                 "moreau_envelope: gamma must be positive", id="moreau-envelope-gamma"),
+    pytest.param(lambda: yosida(L1(), np.nan, np.ones(2)), ValueError,
+                 "yosida: gamma must be positive", id="yosida-gamma"),
+    pytest.param(lambda: ScalarPC1([_PIECE] * 3, [0.0, 0.0]), ValueError,
+                 "breakpoints must be distinct", id="pc1-repeated-breakpoint"),
+    pytest.param(lambda: ScalarPC1([_PIECE] * 3, [0.0]), ValueError,
+                 "without owners, need exactly len(breakpoints)+1 pieces", id="pc1-piece-count"),
+    pytest.param(lambda: ScalarPC1([_PIECE] * 2, [0.0], owners=[0, 2]), ValueError,
+                 "owner index out of range", id="pc1-owner-range"),
+    pytest.param(lambda: SmoothFn(lambda x: 0.0, lambda x: x, lipschitz=0.0), ValueError,
+                 "lipschitz must be positive when given", id="smooth-fn-lipschitz"),
+    pytest.param(lambda: dr_as_pdhg_check(L1(), L1(), np.ones(2), 0.0), ValueError,
+                 "dr_as_pdhg_check: gamma must be positive", id="dr-pdhg-check-gamma"),
+    pytest.param(lambda: kkt_residual(object(), np.ones(2)), TypeError,
+                 "kkt_residual: unknown spec type object", id="kkt-residual-unknown-spec"),
+    pytest.param(lambda: gen_boxqp(3, cond_shift=-10), ValueError,
+                 "generated Q failed its Cholesky SPD check", id="gen-boxqp-indefinite"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", GUARDS)
+def test_public_api_guard_names_the_bad_input(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

@@ -382,18 +382,16 @@ def test_control_ssn_names_a_u0_of_the_wrong_length(k):
         # a finite S'S whose S'z overflows; raised "vector entries must be finite"
         (dict(S=np.array([[1e150, 0.0], [0.0, 1.0]]), z=np.array([1e200, 1.0])),
          r"z is too large for s \(S'z"),
+        # finite S'S and S'z whose S'S/alpha, or S'z/alpha, overflows; both raised numpy's
+        # "overflow encountered in divide" as a RuntimeWarning
+        (dict(S=1e100 * np.eye(2), alpha=1e-200), r"alpha is too small \(S'S/alpha"),
+        (dict(z=np.full(2, 1e300), alpha=1e-10), r"alpha is too small \(S'S/alpha"),
     ],
 )
 def test_control_ssn_names_a_bad_input_in_one_line(bad, field):
     args = dict(S=np.eye(2), z=np.ones(2), alpha=1.0, lo=-1.0, hi=1.0) | bad
     with pytest.raises(ValueError, match=f"^control problem: {field} [^\n]*$"):
         control_ssn(**args)
-
-
-def test_control_ssn_step_rejects_an_infinite_v():
-    # v = S'z / alpha overflows while S'z, the clip of v and so the residual stay finite
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-        control_ssn(np.eye(2), np.full(2, 1e300), 1e-10, -1.0, 1.0)
 
 
 # --- diagnostics -----------------------------------------------------------------------------

@@ -367,3 +367,17 @@ def test_bounds_may_be_infinite_but_not_nan():
         BoxQPSpec(np.eye(2), np.ones(2), [np.nan, -1.0], 1.0)
     with pytest.raises(ValueError, match="^boxqp problem: need lo <= hi$"):
         BoxQPSpec(np.eye(2), np.ones(2), 1.0, -1.0)
+
+
+def test_oracle_boxqp_skips_the_bounds_a_box_does_not_have():
+    # partitions that pin a coordinate to an infinite bound are skipped; fista
+    # confirms the point.  kkt_residual is not asserted: it reads +inf on a box
+    # with an infinite bound, even at the exact solution.
+    base = gen_boxqp(3, seed=4)
+    lo, hi = np.array([-np.inf, -0.5, -np.inf]), np.array([0.5, np.inf, np.inf])
+    spec = BoxQPSpec(base.q, 3.0 * base.c, lo, hi)
+    x = oracle_boxqp(spec)
+    assert x[1] == -0.5 and x[0] < 0.5  # one finite bound active, the other not
+    xf, trace = fista(boxqp_composite(spec), np.zeros(3), SolverConfig(tol=1e-12, max_iter=5000))
+    assert trace.converged
+    assert np.linalg.norm(x - xf) <= 1e-10
